@@ -10,6 +10,7 @@ iff the rank-i dictionary token occurs in it.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -45,6 +46,10 @@ class Vocabulary:
     corpus_docs: int
     max_size: int
 
+    def __post_init__(self):
+        if len({t for t, _ in self.entries}) != len(self.entries):
+            raise ValueError("vocabulary tokens must be distinct")
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -74,13 +79,14 @@ def build_vocabulary(corpus: Corpus, max_size: int = DEFAULT_VOCAB_SIZE) -> Voca
     return Vocabulary(entries=tuple(kept[:max_size]), corpus_docs=n_docs, max_size=max_size)
 
 
+def _set_columns(report: LabeledReport, index: dict[str, int]) -> list[int]:
+    return [index[t] for t in set(tokenize(report.raw_text)) if t in index]
+
+
 def vectorize(report: LabeledReport, vocab: Vocabulary) -> np.ndarray:
     """Binary presence vector over the vocabulary, dtype uint8, length |vocab|."""
-    present = set(tokenize(report.raw_text))
     bits = np.zeros(len(vocab), dtype=np.uint8)
-    for i, (token, _) in enumerate(vocab.entries):
-        if token in present:
-            bits[i] = 1
+    bits[_set_columns(report, vocab.index())] = 1
     return bits
 
 
@@ -88,9 +94,10 @@ def vectorize_corpus(
     corpus: Corpus, vocab: Vocabulary
 ) -> tuple[np.ndarray, list[str | None], list[str | None]]:
     """Vectorize every report; returns (matrix, nation labels, family labels) row-aligned."""
+    index = vocab.index()
     rows = np.zeros((len(corpus), len(vocab)), dtype=np.uint8)
     for i, report in enumerate(corpus.reports):
-        rows[i] = vectorize(report, vocab)
+        rows[i, _set_columns(report, index)] = 1
     nations = [r.nation for r in corpus.reports]
     families = [r.family for r in corpus.reports]
     return rows, nations, families
@@ -173,6 +180,12 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str | None], list[st
         if version != MATRIX_VERSION:
             raise FormatError(
                 f"feature-matrix file {path}: version {version}, expected {MATRIX_VERSION}"
+            )
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n * cols + 4 * n > left:
+            raise FormatError(
+                f"feature-matrix file {path}: truncated: header declares {n}x{cols} "
+                f"cells and {n} label pairs, but {left} bytes remain"
             )
         body = fh.read(n * cols)
         if len(body) != n * cols:

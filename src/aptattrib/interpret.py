@@ -101,16 +101,18 @@ class Embedding2D:
 def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
     """Rank vocabulary features by connection-weight contribution.
 
-    M = W1 @ W2 @ ... @ WL in float64; score_i = max_c |M[i, c]|.
+    M = W1 @ (W2 @ (... @ WL)) in float64; score_i = max_c |M[i, c]|. Going
+    right to left keeps every intermediate product as narrow as the class
+    count.
     """
     if model.arch.input_size != len(vocab):
         raise ValueError(
             f"model input size {model.arch.input_size} does not match "
             f"vocabulary size {len(vocab)}"
         )
-    contrib = model.weights[0].astype(np.float64)
-    for w in model.weights[1:]:
-        contrib = contrib @ w.astype(np.float64)
+    contrib = model.weights[-1].astype(np.float64)
+    for w in reversed(model.weights[:-1]):
+        contrib = w.astype(np.float64) @ contrib
     scores = np.abs(contrib).max(axis=1)
     order = np.argsort(-scores, kind="stable")
     return ImportanceRanking(

@@ -5,10 +5,19 @@ through a max-subtracted softmax. Training is plain mini-batch gradient
 descent on softmax cross-entropy with inverted dropout on hidden layers,
 zeroing noise on the input layer, and a geometric learning-rate decay.
 Weights live in float32; gradient checking runs a float64 path.
+
+The binary inputs are sparse, so layer 0 works on the columns a batch sets:
+when at most half of the input columns are nonzero after input noise, it
+gathers those rows of W0, multiplies and differentiates them alone, and a
+train step updates the gathered rows and scatters them back. Untouched rows
+get exactly zero gradient either way. Denser batches use the dense matmul.
+The two paths differ only in float32 summation order. Backprop stops at the
+lowest trainable layer.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,6 +157,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _layer0(w0: np.ndarray, b0: np.ndarray, x: np.ndarray):
+    """Layer-0 pre-activation; returns (z, x_used, cols, w_used).
+
+    When the batch sets at most half of the input columns, only those columns
+    take part: cols are their indices, x_used = x[:, cols] and w_used is the
+    gathered copy w0[cols]. Otherwise cols is None and x_used, w_used are x
+    and w0 themselves. Rows of w0 outside cols meet only zero inputs, so they
+    add nothing to z and get zero gradient.
+    """
+    cols = np.flatnonzero(x.any(axis=0))
+    if 2 * cols.size > x.shape[1]:
+        return x @ w0 + b0, x, None, w0
+    x_used, w_used = x[:, cols], w0[cols]
+    return x_used @ w_used + b0, x_used, cols, w_used
+
+
 def _forward_pass(
     weights: Sequence[np.ndarray],
     biases: Sequence[np.ndarray],
@@ -158,19 +183,20 @@ def _forward_pass(
     dropout_rate: float = 0.0,
     input_noise_rate: float = 0.0,
 ):
-    """Batched forward pass; returns (activations per node-layer, hidden caches).
+    """Batched forward pass; returns (activations per node-layer, caches).
 
-    Each cache entry is (pre-dropout ReLU output, dropout multiplier or None);
-    the multipliers are what backprop needs to route gradients through
-    inverted dropout.
+    caches[0] is layer 0's (x_used, cols, w_used) from _layer0, taken after
+    input noise. caches[l] for each hidden node-layer l is (pre-dropout ReLU
+    output, dropout multiplier or None); the multipliers are what backprop
+    needs to route gradients through inverted dropout.
     """
     a = a0
     if train and input_noise_rate > 0.0:
         a = a * (rng.random(a.shape) >= input_noise_rate)
+    z, x_used, cols, w_used = _layer0(weights[0], biases[0], a)
     acts = [a]
-    caches = []
-    for l in range(len(weights) - 1):
-        z = a @ weights[l] + biases[l]
+    caches = [(x_used, cols, w_used)]
+    for l in range(1, len(weights)):
         h = np.maximum(z, 0.0)
         mult = None
         if train and dropout_rate > 0.0:
@@ -182,8 +208,8 @@ def _forward_pass(
             a = h
         caches.append((h, mult))
         acts.append(a)
-    logits = a @ weights[-1] + biases[-1]
-    acts.append(_softmax(logits))
+        z = a @ weights[l] + biases[l]
+    acts.append(_softmax(z))
     return acts, caches
 
 
@@ -192,8 +218,13 @@ def _backward_pass(
     acts: Sequence[np.ndarray],
     caches: Sequence[tuple],
     labels: np.ndarray,
+    lowest: int = 0,
 ):
-    """Gradients of mean cross-entropy wrt every weight matrix and bias."""
+    """Gradients of mean cross-entropy wrt the weight matrices and biases of layers >= lowest.
+
+    Entries below lowest are None, and nothing below it is computed. The
+    layer-0 weight gradient covers the rows w_used covers (see _layer0).
+    """
     probs = acts[-1]
     batch = probs.shape[0]
     dz = probs.copy()
@@ -201,12 +232,12 @@ def _backward_pass(
     dz /= np.asarray(batch, dtype=dz.dtype)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ dz
+    for l in range(len(weights) - 1, lowest - 1, -1):
+        grads_w[l] = (acts[l] if l else caches[0][0]).T @ dz
         grads_b[l] = dz.sum(axis=0)
-        if l > 0:
+        if l > lowest:
             da = dz @ weights[l].T
-            h, mult = caches[l - 1]
+            h, mult = caches[l]
             if mult is not None:
                 da = da * mult
             dz = da * (h > 0)
@@ -290,7 +321,9 @@ def train_step(
 ) -> float:
     """One gradient-descent step on a mini-batch; returns the mean batch loss.
 
-    Only layers flagged trainable are updated (biases move with their layer).
+    Only layers flagged trainable are updated (biases move with their layer),
+    and backprop stops at the lowest of them. A compacted layer 0 (see
+    _layer0) is updated in its gathered rows, which are then scattered back.
     """
     x, _ = _as_batch(model, batch_x)
     if x.shape[0] == 0:
@@ -314,12 +347,19 @@ def train_step(
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], PROB_FLOOR))))
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss}")
-    grads_w, grads_b = _backward_pass(model.weights, acts, caches, y)
-    if lr != 0.0:
-        for l in range(len(model.weights)):
-            if model.trainable[l]:
-                model.weights[l] -= np.asarray(lr, dtype=np.float32) * grads_w[l]
-                model.biases[l] -= np.asarray(lr, dtype=np.float32) * grads_b[l]
+    trainable = [l for l, flag in enumerate(model.trainable) if flag]
+    if lr == 0.0 or not trainable:
+        return loss
+    grads_w, grads_b = _backward_pass(model.weights, acts, caches, y, lowest=trainable[0])
+    _, cols, w0_used = caches[0]
+    lr32 = np.float32(lr)
+    for l in trainable:
+        w = w0_used if l == 0 else model.weights[l]
+        for param, grad in ((w, grads_w[l]), (model.biases[l], grads_b[l])):
+            np.multiply(grad, lr32, out=grad)
+            param -= grad
+    if cols is not None and model.trainable[0]:
+        model.weights[0][cols] = w0_used
     return loss
 
 
@@ -333,13 +373,18 @@ def train(
     """Train in place for config.epochs; deterministic given config.seed.
 
     Shuffling, input noise, and dropout all draw from one generator seeded
-    once at the start, so identical configs give byte-identical models.
+    once at the start, so identical configs give byte-identical models. The
+    whole set is checked before the first step, so bad input leaves the model
+    untouched.
     """
     config.validate()
-    n = np.asarray(train_x).shape[0]
+    x, _ = _as_batch(model, train_x, dtype=None)
+    n = x.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
-    train_y = _check_labels(train_y, model.arch.output_size)
+    y = _check_labels(train_y, model.arch.output_size)
+    if y.shape[0] != n:
+        raise ValueError("training labels must align with rows")
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
     for epoch in range(config.epochs):
@@ -351,8 +396,8 @@ def train(
             try:
                 loss = train_step(
                     model,
-                    train_x[idx],
-                    train_y[idx],
+                    x[idx],
+                    y[idx],
                     lr,
                     dropout_rate=config.dropout_rate,
                     input_noise_rate=config.input_noise_rate,
@@ -429,6 +474,11 @@ def gradient_check(
 
     acts, caches = _forward_pass(weights, biases, x)
     grads_w, grads_b = _backward_pass(weights, acts, caches, y)
+    _, cols, _ = caches[0]
+    if cols is not None:
+        full = np.zeros_like(weights[0])
+        full[cols] = grads_w[0]
+        grads_w[0] = full
 
     max_rel = 0.0
     for params, grads in ((weights, grads_w), (biases, grads_b)):
@@ -484,6 +534,13 @@ def load_model(path: str | Path) -> MlpModel:
         flags = struct.unpack(
             f"<{n_layers - 1}B", read_exact(fh, n_layers - 1, "trainable flags")
         )
+        need = sum(4 * (fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise ValueError(
+                f"model file {path}: truncated: layer sizes {sizes} need {need} bytes "
+                f"of weights and biases, but {left} remain"
+            )
         weights = []
         biases = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):

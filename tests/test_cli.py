@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -250,6 +251,18 @@ def test_eval_class_count_mismatch_exits_2(tmp_path, capsys):
     rc = main(["eval", *args, "--model", cfg["paths"]["model"], "--task", "nation"])
     assert rc == 2
     assert "2 distinct" in capsys.readouterr().err
+
+
+def test_oversized_header_exits_2(tmp_path, capsys):
+    model = tmp_path / "huge.model"
+    huge = struct.pack("<2I", 0xFFFFFFFF, 0xFFFFFFFF)
+    model.write_bytes(b"APTM" + struct.pack("<IH", 1, 2) + huge + b"\x01")
+    matrix = tmp_path / "huge.bin"
+    matrix.write_bytes(b"APTV" + struct.pack("<I", 1) + huge)
+    assert main(["eval", "--model", str(model), "--matrix", str(matrix)]) == 2
+    assert "truncated" in capsys.readouterr().err
+    assert main(["train", "--matrix", str(matrix), "--model-out", str(tmp_path / "m")]) == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_embed_too_few_points_exits_2(tmp_path, capsys):

@@ -233,6 +233,14 @@ def test_vocabulary_rejects_wrong_version(tmp_path):
         load_vocabulary(path)
 
 
+def test_vocabulary_rejects_repeated_tokens(tmp_path):
+    path = tmp_path / "vocab.json"
+    doc = {"version": 1, "corpus_docs": 3, "max_size": 5, "entries": [["a", 2], ["a", 1]]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="distinct"):
+        load_vocabulary(path)
+
+
 def test_vocabulary_rejects_malformed_json(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text("{not json")

@@ -81,6 +81,18 @@ def test_olden_matches_path_enumeration():
         assert np.abs(ranking.contributions - oracle).max() <= 1e-9
 
 
+def test_olden_matches_left_to_right_product():
+    rng = np.random.default_rng(8)
+    for sizes in ((7, 5, 3), (9, 6, 6, 4, 2), (12, 10, 8, 6, 5, 3)):
+        weights = [rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])]
+        m = _model_from(weights)
+        expected = m.weights[0].astype(np.float64)
+        for w in m.weights[1:]:
+            expected = expected @ w.astype(np.float64)
+        ranking = olden_importance(m, _vocab(sizes[0]))
+        np.testing.assert_allclose(ranking.contributions, expected, rtol=1e-12, atol=0)
+
+
 def test_olden_ranking_invariant_under_positive_rescale():
     rng = np.random.default_rng(23)
     sizes = [6, 4, 3, 2]

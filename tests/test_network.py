@@ -10,6 +10,7 @@ from aptattrib.network import (
     TrainConfig,
     _backward_pass,
     _forward_pass,
+    _layer0,
     default_attribution_arch,
     default_family_arch,
     evaluate,
@@ -314,6 +315,135 @@ def test_zero_weights_zero_input_give_zero_weight_gradients():
     assert not grads_w[1].any()
 
 
+# --- compacted layer 0 against the dense reference ---
+
+
+def _dense_reference_step(model, x, y, lr, rng, dropout_rate, input_noise_rate):
+    """Layer-0-dense train step: full x @ W0, full W0 gradient and full update.
+
+    Draws noise and dropout in the same shapes and order as train_step.
+    Returns (activations, weight gradients, bias gradients, updated model).
+    """
+    w, b = model.weights, model.biases
+    a = np.asarray(x, dtype=np.float32)
+    if input_noise_rate > 0.0:
+        a = a * (rng.random(a.shape) >= input_noise_rate)
+    acts, hidden = [a], []
+    for l in range(len(w) - 1):
+        h = np.maximum(a @ w[l] + b[l], 0.0)
+        mult = np.ones_like(h)
+        if dropout_rate > 0.0:
+            mult = (rng.random(h.shape) >= dropout_rate) / np.float32(1.0 - dropout_rate)
+        a = h * mult
+        hidden.append((h, mult))
+        acts.append(a)
+    logits = a @ w[-1] + b[-1]
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    acts.append(probs)
+    dz = probs.copy()
+    dz[np.arange(len(y)), y] -= 1.0
+    dz /= np.float32(len(y))
+    grads_w, grads_b = [None] * len(w), [None] * len(w)
+    for l in range(len(w) - 1, -1, -1):
+        grads_w[l] = acts[l].T @ dz
+        grads_b[l] = dz.sum(axis=0)
+        if l > 0:
+            h, mult = hidden[l - 1]
+            dz = (dz @ w[l].T) * mult * (h > 0)
+    updated = model.clone()
+    for l in range(len(w)):
+        if updated.trainable[l]:
+            updated.weights[l] -= np.float32(lr) * grads_w[l]
+            updated.biases[l] -= np.float32(lr) * grads_b[l]
+    return acts, grads_w, grads_b, updated
+
+
+def _assert_rel_close(actual, expected, rtol=1e-6):
+    scale = max(float(np.abs(expected).max()), 1e-30)
+    assert float(np.abs(actual - expected).max()) <= rtol * scale
+
+
+def _sparse_batch(rng, rows, cols, density):
+    return (rng.random((rows, cols)) < density).astype(np.float32)
+
+
+_L0_RNG = np.random.default_rng(17)
+_L0_CASES = {
+    "sparse": (_sparse_batch(_L0_RNG, 8, 60, 0.05), True),
+    "all-zero row": (np.vstack([_sparse_batch(_L0_RNG, 5, 60, 0.05), np.zeros((1, 60))]), True),
+    "every column": (np.vstack([np.eye(60), _sparse_batch(_L0_RNG, 3, 60, 0.3)]), False),
+    "frozen layer 0": (_sparse_batch(_L0_RNG, 8, 60, 0.05), True),
+    "one row": (_sparse_batch(_L0_RNG, 1, 60, 0.1), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_L0_CASES))
+def test_layer0_matches_dense_reference(case):
+    x, compact = _L0_CASES[case]
+    x = x.astype(np.float32)
+    y = np.arange(len(x)) % 3
+    model = init_model(ArchSpec((60, 12, 8, 3)), seed=4)
+    model.biases = [np.full_like(b, 0.05) for b in model.biases]
+    if case == "frozen layer 0":
+        model.trainable[0] = False
+    regs = dict(dropout_rate=0.3, input_noise_rate=0.2)
+
+    ref_acts, ref_gw, ref_gb, ref_model = _dense_reference_step(
+        model, x, y, 0.1, np.random.default_rng(9), **regs
+    )
+    acts, caches = _forward_pass(
+        model.weights, model.biases, x, train=True, rng=np.random.default_rng(9), **regs
+    )
+    _, cols, _ = caches[0]
+    assert (cols is not None) == compact
+    for a, ref in zip(acts, ref_acts):
+        _assert_rel_close(a, ref)
+    grads_w, grads_b = _backward_pass(model.weights, acts, caches, y)
+    if cols is not None:
+        full = np.zeros_like(model.weights[0])
+        full[cols] = grads_w[0]
+        grads_w[0] = full
+    for g, ref in zip(grads_w + grads_b, ref_gw + ref_gb):
+        _assert_rel_close(g, ref)
+
+    stepped = model.clone()
+    train_step(stepped, x, y, 0.1, rng=np.random.default_rng(9), **regs)
+    for w, ref in zip(stepped.weights + stepped.biases, ref_model.weights + ref_model.biases):
+        _assert_rel_close(w, ref)
+    if cols is not None:
+        untouched = np.setdiff1d(np.arange(60), cols)
+        assert stepped.weights[0][untouched].tobytes() == model.weights[0][untouched].tobytes()
+    if case == "frozen layer 0":
+        assert stepped.weights[0].tobytes() == model.weights[0].tobytes()
+        assert stepped.biases[0].tobytes() == model.biases[0].tobytes()
+
+
+def test_layer0_compacts_at_most_half_the_columns():
+    w0, b0 = np.ones((4, 2), dtype=np.float32), np.zeros(2, dtype=np.float32)
+    half = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.float32)
+    _, x_used, cols, w_used = _layer0(w0, b0, half)
+    assert cols.tolist() == [0, 1] and x_used.shape == (2, 2) and w_used.shape == (2, 2)
+    _, x_used, cols, w_used = _layer0(w0, b0, np.array([[0, 1, 1, 1]], dtype=np.float32))
+    assert cols is None and w_used is w0
+
+
+def test_frozen_trunk_head_matches_full_backward():
+    arch = ArchSpec((30, 10, 8, 6, 3))
+    frozen, full = init_model(arch, seed=2), init_model(arch, seed=2)
+    frozen.trainable = [False, False, False, True]
+    trunk = [a.tobytes() for a in frozen.weights[:-1] + frozen.biases[:-1]]
+    x = _sparse_batch(np.random.default_rng(5), 6, 30, 0.1)
+    y = np.array([0, 1, 2, 0, 1, 2])
+    for m in (frozen, full):
+        rng = np.random.default_rng(1)
+        train_step(m, x, y, 0.05, dropout_rate=0.5, input_noise_rate=0.2, rng=rng)
+    assert frozen.weights[-1].tobytes() == full.weights[-1].tobytes()
+    assert frozen.biases[-1].tobytes() == full.biases[-1].tobytes()
+    assert [a.tobytes() for a in frozen.weights[:-1] + frozen.biases[:-1]] == trunk
+    assert full.weights[1].tobytes() != trunk[1]
+
+
 # --- train ---
 
 
@@ -367,6 +497,21 @@ def test_train_empty_set_errors():
     m = init_model(ArchSpec((4, 3, 2)), seed=0)
     with pytest.raises(ValueError, match="empty"):
         train(m, np.ones((0, 4)), np.array([], dtype=np.int64), TrainConfig(epochs=1))
+
+
+def test_train_checks_every_row_before_the_first_step():
+    m = init_model(ArchSpec((4, 3, 2)), seed=0)
+    before = _model_bytes(m)
+    x = np.ones((40, 4))
+    x[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        train(m, x, np.zeros(40, dtype=np.int64), TrainConfig(epochs=1))
+    x[-1, 0] = 1.0
+    with pytest.raises(ValueError, match="labels"):
+        train(m, x, np.r_[np.zeros(39, dtype=np.int64), 2], TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="align"):
+        train(m, x, np.zeros(39, dtype=np.int64), TrainConfig(epochs=1))
+    assert _model_bytes(m) == before
 
 
 def test_train_frozen_layer_untouched_over_epochs():
@@ -451,6 +596,15 @@ def test_gradient_check_multiple_seeds():
         x = rng.random(6)
         err = gradient_check(ArchSpec((6, 5, 4, 3)), seed=seed, sample=(x, 2), epsilon=1e-5)
         assert err < 1e-6
+
+
+def test_gradient_check_through_compacted_layer0():
+    x = np.zeros(8)
+    x[[2, 5]] = [1.0, 0.5]
+    _, _, cols, _ = _layer0(np.ones((8, 6)), np.zeros(6), x[None, :])
+    assert cols.tolist() == [2, 5]
+    err = gradient_check(ArchSpec((8, 6, 5, 3)), seed=2, sample=(x, 1), epsilon=1e-5)
+    assert err < 1e-6
 
 
 def test_gradient_check_guards_large_arch():
