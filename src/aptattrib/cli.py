@@ -2,9 +2,14 @@
 
 Subcommands: synth, vocab, vectorize, train, transfer, eval, importance,
 embed. Every option can come from a JSON config file (--config) with
-command-line flags winning over config values. Exit codes: 0 success,
-2 usage or validation error, 1 internal error. Diagnostics go to stderr;
-machine-readable results go to files or stdout.
+command-line flags winning over config values, which win over the library
+defaults. The config schema is derived, not restated: the synth, train and
+tsne sections take exactly the fields of SynthSpec, TrainConfig (plus arch)
+and TsneConfig, with value types taken from the field defaults, and are
+type-checked once when the file is loaded. train and transfer share one set
+of training flags. Exit codes: 0 success, 2 usage or validation error,
+1 internal error. Diagnostics go to stderr; machine-readable results go to
+files or stdout.
 
 All randomness flows from one root seed (--seed or config "seed"): each
 stage derives its own sub-seed as the low 64 bits of
@@ -15,6 +20,7 @@ pipeline is reproducible from a single number.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -35,6 +41,7 @@ from .interpret import (
     TsneConfig,
     embed_corpus,
     export_embedding_csv,
+    export_importance_csv,
     export_scatter_svg,
     importance_csv,
     olden_importance,
@@ -53,57 +60,30 @@ from .transfer import transfer_train
 
 MAX_SEED = 2**64 - 1
 
-_SYNTH_KEYS = {
-    "nations",
-    "families_per_nation",
-    "reports_per_family",
-    "nation_sig_size",
-    "family_sig_size",
-    "noise_pool_size",
-    "tokens_per_report",
-    "p_nation",
-    "p_family",
-    "seed",
+
+def _field_types(cls) -> dict[str, type]:
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+
+
+# section -> key -> expected JSON value type (float keys also accept integers)
+_SCHEMA = {
+    "synth": _field_types(SynthSpec),
+    "vocab": {"max_size": int},
+    "train": {**_field_types(TrainConfig), "arch": list},
+    "tsne": _field_types(TsneConfig),
+    "paths": dict.fromkeys(
+        "corpus_dir manifest vocab matrix model train_report transfer_model transfer_report "
+        "eval_model embed_model importance_csv embedding_csv embedding_svg".split(),
+        str,
+    ),
 }
-_VOCAB_KEYS = {"max_size"}
-_TRAIN_KEYS = {
-    "lr_init",
-    "lr_final",
-    "epochs",
-    "dropout_rate",
-    "input_noise_rate",
-    "batch_size",
-    "seed",
-    "shuffle",
-    "arch",
+_EXPECTED = {
+    float: "a number",
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a list of integers",
 }
-_TSNE_KEYS = {
-    "perplexity",
-    "iterations",
-    "early_exaggeration_factor",
-    "exaggeration_iters",
-    "step_size",
-    "momentum_init",
-    "momentum_final",
-    "momentum_switch_iter",
-    "seed",
-}
-_PATH_KEYS = {
-    "corpus_dir",
-    "manifest",
-    "vocab",
-    "matrix",
-    "model",
-    "train_report",
-    "transfer_model",
-    "transfer_report",
-    "eval_model",
-    "embed_model",
-    "importance_csv",
-    "embedding_csv",
-    "embedding_svg",
-}
-_TOP_KEYS = {"seed", "synth", "vocab", "train", "tsne", "paths"}
 
 
 def derive_seed(root_seed: int, stage: str) -> int:
@@ -112,33 +92,36 @@ def derive_seed(root_seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+def _check_value(where: str, kind: type, value) -> None:
+    accepted = (int, float) if kind is float else (kind,)
+    if type(value) not in accepted or (kind is list and any(type(v) is not int for v in value)):
+        raise ValueError(f"config {where} must be {_EXPECTED[kind]}, got {json.dumps(value)}")
 
 
 def load_config(path: str | None) -> dict:
-    """Parse and structurally validate the JSON config file."""
+    """Parse the JSON config file and check every key and value against _SCHEMA."""
     if path is None:
         return {}
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config root")
-    for section, allowed in (
-        ("synth", _SYNTH_KEYS),
-        ("vocab", _VOCAB_KEYS),
-        ("train", _TRAIN_KEYS),
-        ("tsne", _TSNE_KEYS),
-        ("paths", _PATH_KEYS),
-    ):
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ValueError(f"config section {section!r} must be an object")
-            _check_keys(raw[section], allowed, f"config section {section!r}")
-    if "seed" in raw and not (isinstance(raw["seed"], int) and 0 <= raw["seed"] <= MAX_SEED):
-        raise ValueError("config 'seed' must be an unsigned 64-bit integer")
+    unknown = sorted(set(raw) - {"seed", *_SCHEMA})
+    if unknown:
+        raise ValueError(f"unknown config key(s) in config root: {', '.join(unknown)}")
+    for section, schema in _SCHEMA.items():
+        if section not in raw:
+            continue
+        if not isinstance(raw[section], dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        unknown = sorted(set(raw[section]) - set(schema))
+        if unknown:
+            raise ValueError(
+                f"unknown config key(s) in config section {section!r}: {', '.join(unknown)}"
+            )
+        for key, value in raw[section].items():
+            _check_value(f"{section}.{key}", schema[key], value)
+    if "seed" in raw and not (type(raw["seed"]) is int and 0 <= raw["seed"] <= MAX_SEED):
+        raise ValueError("config seed must be an unsigned 64-bit integer")
     return raw
 
 
@@ -157,9 +140,9 @@ def _resolve(flag_value, cfg: dict, section: str, key: str, default=None):
     return cfg.get(section, {}).get(key, default)
 
 
-def _resolve_path(flag_value, cfg: dict, key: str, what: str, required: bool = True):
+def _resolve_path(flag_value, cfg: dict, key: str, what: str):
     value = _resolve(flag_value, cfg, "paths", key)
-    if value is None and required:
+    if value is None:
         raise ValueError(f"no {what} given: pass the flag or set paths.{key} in the config")
     return value
 
@@ -178,26 +161,21 @@ def _load_labeled_matrix(path: str, task: str):
 
 def _parse_arch_flag(text: str) -> list[int]:
     try:
-        sizes = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"--arch must be comma-separated integers, got {text!r}") from None
-    return sizes
 
 
-def _build_train_config(args, cfg: dict, stage: str, root: int) -> TrainConfig:
-    section = cfg.get("train", {})
-    config = TrainConfig(
-        lr_init=_resolve(args.lr_init, cfg, "train", "lr_init", 1e-2),
-        lr_final=_resolve(args.lr_final, cfg, "train", "lr_final", 1e-5),
-        epochs=_resolve(args.epochs, cfg, "train", "epochs", 1000),
-        dropout_rate=_resolve(args.dropout_rate, cfg, "train", "dropout_rate", 0.5),
-        input_noise_rate=_resolve(
-            args.input_noise_rate, cfg, "train", "input_noise_rate", 0.2
-        ),
-        batch_size=_resolve(args.batch_size, cfg, "train", "batch_size", 32),
-        seed=section.get("seed", derive_seed(root, stage)),
-        shuffle=False if args.no_shuffle else section.get("shuffle", True),
+def _stage_config(cls, args, cfg: dict, section: str, stage: str):
+    """A validated `cls`: stage seed, then config section, then flags, each winning."""
+    fields = set(_field_types(cls))
+    values = {"seed": derive_seed(_root_seed(args, cfg), stage)}
+    values.update((k, v) for k, v in cfg.get(section, {}).items() if k in fields)
+    # --seed is the root seed, never a stage's own
+    values.update(
+        (k, v) for k, v in vars(args).items() if k in fields - {"seed"} and v is not None
     )
+    config = cls(**values)
     config.validate()
     return config
 
@@ -209,19 +187,7 @@ def _write_report(report, path: str | None) -> None:
 
 
 def cmd_synth(args, cfg: dict) -> int:
-    root = _root_seed(args, cfg)
-    section = dict(cfg.get("synth", {}))
-    section.setdefault("seed", derive_seed(root, "synth"))
-    for flag, key in (
-        (args.nations, "nations"),
-        (args.families_per_nation, "families_per_nation"),
-        (args.reports_per_family, "reports_per_family"),
-        (args.p_nation, "p_nation"),
-        (args.p_family, "p_family"),
-    ):
-        if flag is not None:
-            section[key] = flag
-    spec = SynthSpec(**section)
+    spec = _stage_config(SynthSpec, args, cfg, "synth", "synth")
     out_dir = _resolve_path(args.out_dir, cfg, "corpus_dir", "output directory")
     corpus = generate_synthetic_corpus(spec)
     manifest = export_corpus(corpus, out_dir)
@@ -230,7 +196,7 @@ def cmd_synth(args, cfg: dict) -> int:
 
 
 def _manifest_path(args, cfg: dict) -> str:
-    manifest = _resolve(getattr(args, "manifest", None), cfg, "paths", "manifest")
+    manifest = _resolve(args.manifest, cfg, "paths", "manifest")
     if manifest is None:
         corpus_dir = cfg.get("paths", {}).get("corpus_dir")
         if corpus_dir is not None:
@@ -263,7 +229,7 @@ def cmd_vectorize(args, cfg: dict) -> int:
 
 
 def cmd_train(args, cfg: dict) -> int:
-    root = _root_seed(args, cfg)
+    config = _stage_config(TrainConfig, args, cfg, "train", "train")
     matrix_path = _resolve_path(args.matrix, cfg, "matrix", "matrix path")
     model_out = _resolve_path(args.model_out, cfg, "model", "model output path")
     report_out = _resolve(args.report_out, cfg, "paths", "train_report")
@@ -271,7 +237,7 @@ def cmd_train(args, cfg: dict) -> int:
     arch_sizes = args.arch if args.arch is not None else cfg.get("train", {}).get("arch")
     if arch_sizes is None:
         arch_sizes = [rows.shape[1], *DEFAULT_HIDDEN_SIZES, len(classes)]
-    arch = ArchSpec(tuple(int(s) for s in arch_sizes))
+    arch = ArchSpec(tuple(arch_sizes))
     if arch.input_size != rows.shape[1]:
         raise ValueError(
             f"arch input size {arch.input_size} does not match matrix width {rows.shape[1]}"
@@ -281,8 +247,7 @@ def cmd_train(args, cfg: dict) -> int:
             f"arch output size {arch.output_size} does not match "
             f"{len(classes)} distinct {args.task} label(s): {', '.join(classes)}"
         )
-    config = _build_train_config(args, cfg, "train", root)
-    model = init_model(arch, derive_seed(root, "train-init"))
+    model = init_model(arch, derive_seed(_root_seed(args, cfg), "train-init"))
     print(
         f"training {args.task} model {list(arch.layer_sizes)} on {rows.shape[0]} rows "
         f"for {config.epochs} epochs",
@@ -296,7 +261,7 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_transfer(args, cfg: dict) -> int:
-    root = _root_seed(args, cfg)
+    config = _stage_config(TrainConfig, args, cfg, "train", "transfer")
     base_path = _resolve_path(args.base_model, cfg, "model", "base model path")
     matrix_path = _resolve_path(args.matrix, cfg, "matrix", "matrix path")
     model_out = _resolve_path(args.model_out, cfg, "transfer_model", "model output path")
@@ -308,7 +273,6 @@ def cmd_transfer(args, cfg: dict) -> int:
             f"base model input size {base.arch.input_size} does not match "
             f"matrix width {rows.shape[1]}"
         )
-    config = _build_train_config(args, cfg, "transfer", root)
     print(
         f"transfer to {len(classes)} nation class(es) on {rows.shape[0]} rows "
         f"for {config.epochs} epochs",
@@ -347,39 +311,25 @@ def cmd_importance(args, cfg: dict) -> int:
     model_path = _resolve_path(args.model, cfg, "model", "model path")
     vocab_path = _resolve_path(args.vocab, cfg, "vocab", "vocabulary path")
     out = _resolve(args.out, cfg, "paths", "importance_csv")
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     model = load_model(model_path)
     vocab = load_vocabulary(vocab_path)
     ranking = olden_importance(model, vocab)
-    top = args.top if args.top is not None else 100
-    if top < 1:
-        raise ValueError(f"--top must be >= 1, got {top}")
-    text = importance_csv(ranking, top)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote top {min(top, len(ranking))} features to {out}", file=sys.stderr)
+        export_importance_csv(ranking, out, args.top)
+        print(f"wrote top {min(args.top, len(ranking))} features to {out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(importance_csv(ranking, args.top))
     return 0
 
 
 def cmd_embed(args, cfg: dict) -> int:
-    root = _root_seed(args, cfg)
+    config = _stage_config(TsneConfig, args, cfg, "tsne", "embed")
     model_path = _resolve_path(args.model, cfg, "embed_model", "model path")
     matrix_path = _resolve_path(args.matrix, cfg, "matrix", "matrix path")
     csv_out = _resolve_path(args.csv_out, cfg, "embedding_csv", "embedding CSV path")
     svg_out = _resolve(args.svg_out, cfg, "paths", "embedding_svg")
-    section = cfg.get("tsne", {})
-    config = TsneConfig(
-        perplexity=_resolve(args.perplexity, cfg, "tsne", "perplexity", 30.0),
-        iterations=_resolve(args.iterations, cfg, "tsne", "iterations", 1000),
-        early_exaggeration_factor=section.get("early_exaggeration_factor", 12.0),
-        exaggeration_iters=section.get("exaggeration_iters", 250),
-        step_size=_resolve(args.step_size, cfg, "tsne", "step_size", 200.0),
-        momentum_init=section.get("momentum_init", 0.5),
-        momentum_final=section.get("momentum_final", 0.8),
-        momentum_switch_iter=section.get("momentum_switch_iter", 250),
-        seed=section.get("seed", derive_seed(root, "embed")),
-    )
     model = load_model(model_path)
     rows, nations, families = load_matrix(matrix_path)
     print(
@@ -400,6 +350,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
     common.add_argument("--seed", type=int, help="root seed (unsigned 64-bit)")
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--model-out", help="model output path")
+    training.add_argument("--report-out", help="training report JSON output path")
+    for flag, kind in (
+        ("--lr-init", float),
+        ("--lr-final", float),
+        ("--epochs", int),
+        ("--dropout-rate", float),
+        ("--input-noise-rate", float),
+        ("--batch-size", int),
+    ):
+        training.add_argument(flag, type=kind)
+    training.add_argument("--no-shuffle", dest="shuffle", action="store_false", default=None)
 
     parser = argparse.ArgumentParser(
         prog="aptattrib",
@@ -429,35 +392,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="feature matrix output path")
     p.set_defaults(func=cmd_vectorize)
 
-    p = sub.add_parser("train", parents=[common], help="train a classifier on a matrix file")
+    p = sub.add_parser(
+        "train", parents=[common, training], help="train a classifier on a matrix file"
+    )
     p.add_argument("--matrix", help="feature matrix path")
     p.add_argument("--task", choices=("nation", "family"), default="family")
     p.add_argument("--arch", type=_parse_arch_flag, help="comma-separated node-layer sizes")
-    p.add_argument("--model-out", help="model output path")
-    p.add_argument("--report-out", help="training report JSON output path")
-    p.add_argument("--lr-init", type=float)
-    p.add_argument("--lr-final", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dropout-rate", type=float)
-    p.add_argument("--input-noise-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--no-shuffle", action="store_true", default=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
-        "transfer", parents=[common], help="retrain the head of a model for nation attribution"
+        "transfer",
+        parents=[common, training],
+        help="retrain the head of a model for nation attribution",
     )
     p.add_argument("--base-model", help="source model path")
     p.add_argument("--matrix", help="feature matrix path (nation labels)")
-    p.add_argument("--model-out", help="transferred model output path")
-    p.add_argument("--report-out", help="training report JSON output path")
-    p.add_argument("--lr-init", type=float)
-    p.add_argument("--lr-final", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dropout-rate", type=float)
-    p.add_argument("--input-noise-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--no-shuffle", action="store_true", default=False)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a model; JSON metrics to stdout")
@@ -469,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("importance", parents=[common], help="rank features by contribution")
     p.add_argument("--model", help="model path")
     p.add_argument("--vocab", help="vocabulary JSON path")
-    p.add_argument("--top", type=int, help="rows to emit (default 100)")
+    p.add_argument("--top", type=int, default=100, help="rows to emit (default 100)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_importance)
 

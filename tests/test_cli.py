@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -5,9 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from aptattrib import cli
 from aptattrib.cli import derive_seed, load_config, main
+from aptattrib.corpus import SynthSpec
 from aptattrib.featurize import load_matrix, load_vocabulary
-from aptattrib.network import ArchSpec, init_model, load_model, save_model
+from aptattrib.interpret import TsneConfig
+from aptattrib.network import ArchSpec, TrainConfig, init_model, load_model, save_model
 
 
 def test_derive_seed_is_stable_and_stage_dependent():
@@ -319,3 +323,125 @@ def test_cli_seed_flag_changes_synth(tmp_path):
     )
     assert read(out_a) == read(out_b)
     assert read(out_a) != read(out_c)
+
+
+def _tree(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command, override, where",
+    [
+        ("train", {"train": {"epochs": "5"}}, "train.epochs"),
+        ("train", {"train": {"arch": 5}}, "train.arch"),
+        ("train", {"train": {"arch": [640, 8.5, 4]}}, "train.arch"),
+        ("train", {"train": {"shuffle": "no"}}, "train.shuffle"),
+        ("synth", {"synth": {"nations": 2.5}}, "synth.nations"),
+        ("embed", {"tsne": {"perplexity": "5"}}, "tsne.perplexity"),
+        ("vocab", {"paths": {"vocab": 3}}, "paths.vocab"),
+        ("synth", {"seed": True}, "seed"),
+    ],
+)
+def test_mistyped_config_value_exits_2_and_writes_nothing(
+    pipeline, capsys, command, override, where
+):
+    _, cfg, tmp_path = pipeline
+    for key, value in override.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", str(bad)]) == 2
+    assert f"config {where} " in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_every_dataclass_field_at_its_default_passes_load_config(tmp_path):
+    cfg = {
+        section: {f.name: f.default for f in dataclasses.fields(cls)}
+        for section, cls in (("synth", SynthSpec), ("train", TrainConfig), ("tsne", TsneConfig))
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(str(path)) == cfg
+
+
+def test_float_keys_accept_integers(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"train": {"lr_init": 1}, "tsne": {"perplexity": 5}}')
+    assert load_config(str(path))["tsne"]["perplexity"] == 5
+
+
+@pytest.mark.parametrize(
+    "flag, config_nations, expected",
+    [(["--nations", "3"], 2, 3), ([], 3, 3), ([], None, SynthSpec().nations)],
+)
+def test_synth_flag_beats_config_beats_default(tmp_path, flag, config_nations, expected):
+    config_path, cfg = _write_pipeline_config(tmp_path)
+    if config_nations is None:
+        del cfg["synth"]["nations"]
+    else:
+        cfg["synth"]["nations"] = config_nations
+    config_path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(config_path), *flag]) == 0
+    manifest = (tmp_path / "corpus" / "manifest.jsonl").read_text().strip().split("\n")
+    assert len({json.loads(line)["nation"] for line in manifest}) == expected
+
+
+def _train_family(args, cfg, *extra):
+    vocab = load_vocabulary(cfg["paths"]["vocab"])
+    arch = f"{len(vocab)},24,12,4"
+    return main(["train", *args, "--task", "family", "--arch", arch, *extra])
+
+
+def test_train_epochs_flag_beats_config(pipeline):
+    config_path, cfg, tmp_path = pipeline
+    args = ["--config", str(config_path)]
+    assert cfg["train"]["epochs"] == 3
+    assert _train_family(args, cfg, "--epochs", "2") == 0
+    assert len(json.loads((tmp_path / "train_report.json").read_text())) == 2
+
+
+def test_embed_flag_beats_config(pipeline, capsys):
+    config_path, cfg, _ = pipeline
+    args = ["--config", str(config_path)]
+    capsys.readouterr()
+    assert main(["embed", *args, "--iterations", "7"]) == 0
+    assert "(perplexity 6.0, 7 iterations)" in capsys.readouterr().err
+
+
+def test_config_shuffle_false_equals_no_shuffle_flag(pipeline):
+    config_path, cfg, tmp_path = pipeline
+    shuffled = (tmp_path / "family.model").read_bytes()
+    assert _train_family(["--config", str(config_path)], cfg, "--no-shuffle") == 0
+    flag_bytes = (tmp_path / "family.model").read_bytes()
+    cfg["train"]["shuffle"] = False
+    config_path.write_text(json.dumps(cfg))
+    assert _train_family(["--config", str(config_path)], cfg) == 0
+    assert (tmp_path / "family.model").read_bytes() == flag_bytes
+    assert flag_bytes != shuffled
+
+
+def test_config_only_tsne_key_reaches_embedding(pipeline):
+    config_path, cfg, tmp_path = pipeline
+    assert main(["embed", "--config", str(config_path)]) == 0
+    default = (tmp_path / "embedding.csv").read_bytes()
+    assert cfg["tsne"]["iterations"] < TsneConfig().exaggeration_iters
+    cfg["tsne"]["exaggeration_iters"] = 5
+    config_path.write_text(json.dumps(cfg))
+    assert main(["embed", "--config", str(config_path)]) == 0
+    assert (tmp_path / "embedding.csv").read_bytes() != default
+
+
+def test_importance_rejects_top_before_loading_model(tmp_path, capsys, monkeypatch):
+    def no_load(path):
+        raise AssertionError("model loaded before --top was checked")
+
+    monkeypatch.setattr(cli, "load_model", no_load)
+    out = tmp_path / "importance.csv"
+    rc = main(["importance", "--model", str(tmp_path / "m.model"),
+               "--vocab", str(tmp_path / "v.json"), "--top", "0", "--out", str(out)])
+    assert rc == 2
+    assert "--top" in capsys.readouterr().err
+    assert not out.exists()
