@@ -4,12 +4,16 @@ Importance follows the connection-weights idea: multiply the weight matrices
 straight through (biases and nonlinearities excluded) so entry [i, c] sums
 the products of edge weights over every input-i to class-c path. The
 embedding is exact O(n^2) t-SNE driven by the penultimate layer's
-activations.
+activations. It runs in row blocks of at most BLOCK_BYTES: the bandwidth
+search bisects a block of points at once, and each iteration fills one n x n
+Student-t kernel in place, then takes Q, the gradient and the KL from it a
+block at a time, so its memory is P plus that kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +23,10 @@ from .featurize import Vocabulary
 from .network import MlpModel, penultimate_activations
 
 P_FLOOR = 1e-12
+# Row-block budget of the t-SNE kernels and of olden_importance's float64 W0.
+# Summation order, and so the embedding's bits, follows the block size, which
+# is why it is fixed here and not derived from the machine.
+BLOCK_BYTES = 1 << 19
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
 SVG_MARGIN = 20
@@ -32,6 +40,13 @@ PALETTE = (
     "#e377c2",
     "#7f7f7f",
 )
+
+
+def _row_blocks(n_rows: int, row_bytes: int):
+    """Consecutive row slices of n_rows rows, at most BLOCK_BYTES each (at least one row)."""
+    rows = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, n_rows, rows):
+        yield slice(start, min(start + rows, n_rows))
 
 
 @dataclass
@@ -70,6 +85,10 @@ class TsneConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.perplexity < 1.0:
             raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
         if self.iterations < 1:
@@ -80,6 +99,9 @@ class TsneConfig:
             raise ValueError(
                 f"early_exaggeration_factor must be >= 1, got {self.early_exaggeration_factor}"
             )
+        for name in ("momentum_init", "momentum_final"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass
@@ -103,16 +125,21 @@ def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
 
     M = W1 @ (W2 @ (... @ WL)) in float64; score_i = max_c |M[i, c]|. Going
     right to left keeps every intermediate product as narrow as the class
-    count.
+    count, and W1 is widened to float64 a row block at a time.
     """
     if model.arch.input_size != len(vocab):
         raise ValueError(
             f"model input size {model.arch.input_size} does not match "
             f"vocabulary size {len(vocab)}"
         )
-    contrib = model.weights[-1].astype(np.float64)
-    for w in reversed(model.weights[:-1]):
-        contrib = w.astype(np.float64) @ contrib
+    tail = None
+    for w in reversed(model.weights[1:]):
+        tail = w.astype(np.float64) if tail is None else w.astype(np.float64) @ tail
+    w0 = model.weights[0]
+    contrib = np.empty((w0.shape[0], model.arch.output_size))
+    for s in _row_blocks(w0.shape[0], 8 * w0.shape[1]):
+        rows = w0[s].astype(np.float64)
+        contrib[s] = rows if tail is None else rows @ tail
     scores = np.abs(contrib).max(axis=1)
     order = np.argsort(-scores, kind="stable")
     return ImportanceRanking(
@@ -120,56 +147,144 @@ def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
     )
 
 
-def _entropy_and_row(dist_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Shannon entropy (nats) and conditional affinities for one bandwidth."""
-    p = np.exp(-dist_row * beta)
-    sum_p = p.sum()
-    if sum_p <= 0.0:
-        return 0.0, np.zeros_like(p)
-    h = np.log(sum_p) + beta * float(dist_row @ p) / sum_p
-    return h, p / sum_p
+def _block_entropies(dists: np.ndarray, beta: np.ndarray, cols: np.ndarray):
+    """Entropies (nats), unnormalized affinities and their row sums for one block.
+
+    dists holds one distance row per entry of beta; cols[r] is the column of
+    row r's own point, whose affinity is zeroed after the exp. A row whose
+    affinities all underflow has entropy 0 and a row sum reported as 1.
+    """
+    p = np.multiply(dists, -beta[:, None])
+    np.exp(p, out=p)
+    p[np.arange(len(beta)), cols] = 0.0
+    sum_p = p.sum(axis=1)
+    pos = sum_p > 0.0
+    safe = np.where(pos, sum_p, 1.0)
+    h = np.where(pos, np.log(safe) + beta * np.einsum("ij,ij->i", dists, p) / safe, 0.0)
+    return h, p, safe
 
 
 def _conditional_affinities(
     sq_dists: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50
 ) -> np.ndarray:
-    """Per-point binary search for the Gaussian bandwidth hitting the target perplexity."""
+    """Binary search per point for the Gaussian bandwidth hitting the target perplexity.
+
+    Rows are searched a block at a time. Every row starts at beta = 1 and
+    follows the per-point rule: double (halve) beta until the entropy is
+    bracketed, then bisect, stopping within tol of log(perplexity) or after
+    max_iter updates. Converged rows leave the active set; the block's rows
+    are then computed once from the final betas.
+    """
     n = sq_dists.shape[0]
     target = np.log(perplexity)
-    cond = np.zeros((n, n), dtype=np.float64)
-    mask = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        row = sq_dists[i][mask[i]]
-        beta = 1.0
-        beta_min, beta_max = -np.inf, np.inf
-        h, p = _entropy_and_row(row, beta)
-        for _ in range(max_iter):
-            if abs(h - target) < tol:
+    cond = np.empty((n, n), dtype=np.float64)
+    for s in _row_blocks(n, 8 * n):
+        block = sq_dists[s].astype(np.float64)
+        own = np.arange(s.start, s.stop)
+        block[np.arange(len(own)), own] = 0.0
+        beta = np.ones(len(own))
+        beta_min = np.full(len(own), -np.inf)
+        beta_max = np.full(len(own), np.inf)
+        active = np.arange(len(own))
+        dists = block
+        for step in range(max_iter + 1):
+            h = _block_entropies(dists, beta[active], own[active])[0]
+            moving = ~(np.abs(h - target) < tol)
+            if step == max_iter or not moving.any():
                 break
-            if h > target:
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-            h, p = _entropy_and_row(row, beta)
-        cond[i][mask[i]] = p
+            if not moving.all():
+                active, h = active[moving], h[moving]
+                dists = block[active]
+            b = beta[active]
+            up = h > target
+            lo, hi = beta_min[active], beta_max[active]
+            beta_min[active] = np.where(up, b, lo)
+            beta_max[active] = np.where(up, hi, b)
+            raised = np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0)
+            lowered = np.where(lo == -np.inf, b / 2.0, (b + lo) / 2.0)
+            beta[active] = np.where(up, raised, lowered)
+        _, p, sum_p = _block_entropies(block, beta, own)
+        np.divide(p, sum_p[:, None], out=cond[s])
     return cond
 
 
 def _squared_distances(x: np.ndarray) -> np.ndarray:
     sq = (x * x).sum(axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d = np.add.outer(sq, sq)
+    for s in _row_blocks(len(x), 8 * len(x)):
+        d[s] -= 2.0 * (x[s] @ x.T)
     np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
+    return np.maximum(d, 0.0, out=d)
 
 
 def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized, floored, exactly renormalized joint affinity matrix P."""
     cond = _conditional_affinities(_squared_distances(points), perplexity)
-    p = (cond + cond.T) / (2.0 * points.shape[0])
-    p = np.maximum(p, P_FLOOR)
-    return p / p.sum()
+    p = cond + cond.T
+    del cond
+    p /= 2.0 * points.shape[0]
+    np.maximum(p, P_FLOOR, out=p)
+    p /= p.sum()
+    return p
+
+
+class _TsneIteration:
+    """Exact t-SNE iterations in row blocks, buffers allocated once.
+
+    Holds P, one n x n Student-t kernel and two row-block buffers; no other
+    n x n array is made per iteration. grad keeps the last step's gradient.
+    """
+
+    def __init__(self, p: np.ndarray):
+        n = p.shape[0]
+        self.p = p
+        self.blocks = list(_row_blocks(n, 8 * n))
+        rows = self.blocks[0].stop
+        self.num = np.empty((n, n))
+        self.q_buf = np.empty((rows, n))
+        self.pq_buf = np.empty((rows, n))
+        self.grad = np.empty((n, 2))
+        self.p_log_p = 0.0
+        for s in self.blocks:
+            log_p = np.log(p[s], out=self.q_buf[: s.stop - s.start])
+            self.p_log_p += float(np.dot(p[s].ravel(), log_p.ravel()))
+
+    def __call__(self, y, update, factor: float, momentum: float, step_size: float):
+        """One gradient step on KL(factor * P || Q); returns (y, update, KL(P || Q) at y)."""
+        p, num, grad = self.p, self.num, self.grad
+        # Pass 1: num = 1 / (1 + |y_i - y_j|^2) with a zero diagonal, and its sum z.
+        # left[i] . right[j] + sq[j] is 1 + sq[i] - 2 y_i . y_j + sq[j]; the clamp
+        # at 1 drops the negative distances that rounding can leave.
+        sq = (y * y).sum(axis=1)
+        left = np.column_stack((-2.0 * y, sq + 1.0))
+        right = np.column_stack((y, np.ones(len(y))))
+        z = 0.0
+        for s in self.blocks:
+            k = num[s]
+            np.matmul(left[s], right.T, out=k)
+            k += sq
+            np.maximum(k, 1.0, out=k)
+            np.reciprocal(k, out=k)
+            k[np.arange(s.stop - s.start), np.arange(s.start, s.stop)] = 0.0
+            z += k.sum()
+        # Pass 2: Q, the gradient rows and sum(P log Q), a row block at a time.
+        p_log_q = 0.0
+        for s in self.blocks:
+            b = s.stop - s.start
+            q, pq = self.q_buf[:b], self.pq_buf[:b]
+            np.divide(num[s], z, out=q)
+            np.maximum(q, P_FLOOR, out=q)
+            np.multiply(p[s], factor, out=pq)
+            pq -= q
+            np.log(q, out=q)
+            p_log_q += float(np.dot(p[s].ravel(), q.ravel()))
+            pq *= num[s]
+            np.multiply(pq.sum(axis=1)[:, None], y[s], out=grad[s])
+            grad[s] -= pq @ y
+        grad *= 4.0
+        update = momentum * update - step_size * grad
+        y = y + update
+        return y - y.mean(axis=0), update, self.p_log_p - p_log_q
 
 
 def tsne_embed(
@@ -181,7 +296,8 @@ def tsne_embed(
 
     Gradient descent on KL(P || Q) with early exaggeration and a two-phase
     momentum schedule; the KL trace is recorded each iteration against the
-    true (unexaggerated) P.
+    true (unexaggerated) P. Memory is P plus one n x n kernel and two
+    row-block buffers (see _TsneIteration).
     """
     config = config or TsneConfig()
     config.validate()
@@ -199,29 +315,18 @@ def tsne_embed(
     if labels is not None and len(labels) != n:
         raise ValueError("labels must align with points")
 
-    p_true = joint_affinities(x, config.perplexity)
+    step = _TsneIteration(joint_affinities(x, config.perplexity))
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)
     kl_trace: list[float] = []
     for it in range(config.iterations):
-        p_eff = (
-            p_true * config.early_exaggeration_factor
-            if it < config.exaggeration_iters
-            else p_true
-        )
+        factor = config.early_exaggeration_factor if it < config.exaggeration_iters else 1.0
         momentum = (
             config.momentum_init if it < config.momentum_switch_iter else config.momentum_final
         )
-        num = 1.0 / (1.0 + _squared_distances(y))
-        np.fill_diagonal(num, 0.0)
-        q = np.maximum(num / num.sum(), P_FLOOR)
-        pq_num = (p_eff - q) * num
-        grad = 4.0 * (np.diag(pq_num.sum(axis=1)) - pq_num) @ y
-        update = momentum * update - config.step_size * grad
-        y = y + update
-        y = y - y.mean(axis=0)
-        kl_trace.append(float((p_true * np.log(p_true / q)).sum()))
+        y, update, kl = step(y, update, factor, momentum, config.step_size)
+        kl_trace.append(kl)
     final_labels = tuple(labels) if labels is not None else tuple([None] * n)
     return Embedding2D(points=y, labels=final_labels, kl_trace=kl_trace)
 

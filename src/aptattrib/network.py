@@ -28,6 +28,8 @@ import numpy as np
 MODEL_MAGIC = b"APTM"
 MODEL_VERSION = 1
 PROB_FLOOR = 1e-12
+# Float64 scratch per row block when init_model draws a weight matrix.
+DRAW_BLOCK_BYTES = 1 << 20
 
 # Hidden widths of the default architecture; attribution nets end in 2
 # classes, family nets in 4.
@@ -144,9 +146,14 @@ def init_model(arch: ArchSpec, seed: int) -> MlpModel:
     weights = []
     biases = []
     for fan_in, fan_out in zip(arch.layer_sizes, arch.layer_sizes[1:]):
-        weights.append(
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).astype(np.float32)
-        )
+        # Drawn in float64 row blocks straight into float32: the same bytes as
+        # one float64 draw cast at once, without the full float64 matrix.
+        w = np.empty((fan_in, fan_out), dtype=np.float32)
+        rows = max(1, DRAW_BLOCK_BYTES // (8 * fan_out))
+        for start in range(0, fan_in, rows):
+            stop = min(start + rows, fan_in)
+            w[start:stop] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(stop - start, fan_out))
+        weights.append(w)
         biases.append(np.zeros(fan_out, dtype=np.float32))
     return MlpModel(arch=arch, weights=weights, biases=biases, trainable=[True] * len(weights))
 

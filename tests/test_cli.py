@@ -284,6 +284,25 @@ def test_embed_too_few_points_exits_2(tmp_path, capsys):
     assert "perplexity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, flags, section",
+    [
+        ("perplexity", ["--perplexity", "nan"], {}),
+        ("step_size", [], {"step_size": float("inf")}),
+        ("momentum_final", [], {"momentum_final": 1.5}),
+    ],
+)
+def test_embed_rejects_bad_tsne_settings_and_writes_nothing(pipeline, capsys, key, flags, section):
+    config_path, cfg, tmp_path = pipeline
+    cfg["tsne"].update(section)
+    config_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["embed", "--config", str(config_path), *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "embedding.csv").exists()
+    assert not (tmp_path / "embedding.svg").exists()
+
+
 def test_importance_stdout_when_no_out(tmp_path, capsys):
     model_path = tmp_path / "m.model"
     save_model(init_model(ArchSpec((3, 2)), seed=0), model_path)

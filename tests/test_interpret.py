@@ -1,14 +1,20 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aptattrib.featurize import Vocabulary
 from aptattrib.interpret import (
+    BLOCK_BYTES,
+    P_FLOOR,
     Embedding2D,
     TsneConfig,
     _conditional_affinities,
+    _row_blocks,
     _squared_distances,
+    _TsneIteration,
     embed_corpus,
     export_embedding_csv,
     export_scatter_svg,
@@ -154,6 +160,24 @@ def test_tsne_config_validation():
         TsneConfig(step_size=0.0).validate()
 
 
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(TsneConfig) if f.type == "float"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_tsne_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        TsneConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("name", ["momentum_init", "momentum_final"])
+def test_tsne_config_momentum_in_unit_interval(name):
+    for bad in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match=name):
+            TsneConfig(**{name: bad}).validate()
+    TsneConfig(**{name: 0.0}).validate()
+    TsneConfig(**{name: 0.99}).validate()
+
+
 def test_tsne_requires_enough_points():
     rng = np.random.default_rng(0)
     pts = rng.random((10, 5))
@@ -230,6 +254,155 @@ def test_tsne_carries_labels():
     assert emb.labels == tuple(f"c{l}" for l in labels)
     bare = tsne_embed(pts, config=cfg)
     assert bare.labels == tuple([None] * 21)
+
+
+# --- row-blocked t-SNE against the dense per-row references ---
+
+
+def _dense_squared_distances(x):
+    sq = (x * x).sum(axis=1)
+    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d, 0.0)
+    return np.maximum(d, 0.0)
+
+
+def _dense_step(p, y, update, factor, momentum, step_size):
+    """One exact t-SNE iteration on whole n x n arrays; returns (y, update, grad, KL)."""
+    num = 1.0 / (1.0 + _dense_squared_distances(y))
+    np.fill_diagonal(num, 0.0)
+    q = np.maximum(num / num.sum(), P_FLOOR)
+    pq_num = (p * factor - q) * num
+    grad = 4.0 * (np.diag(pq_num.sum(axis=1)) - pq_num) @ y
+    update = momentum * update - step_size * grad
+    y = y + update
+    return y - y.mean(axis=0), update, grad, float((p * np.log(p / q)).sum())
+
+
+def _per_row_affinities(sq_dists, perplexity, tol=1e-5, max_iter=50):
+    """Bandwidth bisection one point at a time over its n - 1 off-diagonal distances."""
+
+    def entropy_and_row(row, beta):
+        p = np.exp(-row * beta)
+        sum_p = p.sum()
+        if sum_p <= 0.0:
+            return 0.0, np.zeros_like(p)
+        return np.log(sum_p) + beta * float(row @ p) / sum_p, p / sum_p
+
+    n = sq_dists.shape[0]
+    target = np.log(perplexity)
+    cond = np.zeros((n, n))
+    mask = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        row = sq_dists[i][mask[i]]
+        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
+        h, p = entropy_and_row(row, beta)
+        for _ in range(max_iter):
+            if abs(h - target) < tol:
+                break
+            if h > target:
+                beta_min = beta
+                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
+            else:
+                beta_max = beta
+                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
+            h, p = entropy_and_row(row, beta)
+        cond[i][mask[i]] = p
+    return cond
+
+
+def _cluster_points(n, seed, dim=10):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 15.0, size=(3, dim))
+    return np.maximum(centers[np.arange(n) % 3] + rng.normal(0.0, 1.5, size=(n, dim)), 0.0)
+
+
+def _assert_close(actual, expected, rtol):
+    """Largest difference within rtol of the reference's largest magnitude."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+# Point counts whose row blocks (BLOCK_BYTES // (8 n) rows each) end: inside
+# one block, filling exactly one, one row short of full, filling the last of
+# several, and one row past the last full block.
+EDGE_SIZES = {200: (200,), 256: (256,), 361: (181, 180), 362: (181, 181), 571: (114,) * 5 + (1,)}
+
+
+def test_row_blocks_cover_the_edge_sizes():
+    assert BLOCK_BYTES == 1 << 19, "EDGE_SIZES follows the block budget"
+    for n, sizes in EDGE_SIZES.items():
+        blocks = list(_row_blocks(n, 8 * n))
+        assert tuple(s.stop - s.start for s in blocks) == sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+
+@pytest.mark.parametrize("n", sorted(EDGE_SIZES))
+def test_blocked_iteration_matches_dense_reference(n):
+    p = joint_affinities(_cluster_points(n, seed=n), perplexity=20.0)
+    rng = np.random.default_rng(n)
+    y = rng.normal(0.0, 5.0, size=(n, 2))
+    update = rng.normal(0.0, 0.5, size=(n, 2))
+    step = _TsneIteration(p)
+    # before the exaggeration and momentum switch, then after it
+    for factor, momentum in ((12.0, 0.5), (1.0, 0.8)):
+        y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum, 200.0)
+        y_new, update_new, kl = step(y, update, factor, momentum, 200.0)
+        _assert_close(step.grad, grad_ref, 1e-12)
+        _assert_close(update_new, update_ref, 1e-12)
+        _assert_close(y_new, y_ref, 1e-12)
+        assert abs(kl - kl_ref) <= 1e-12 * abs(kl_ref)
+
+
+def test_tsne_embed_matches_dense_loop_across_the_switch():
+    n = 362
+    x = _cluster_points(n, seed=4)
+    cfg = TsneConfig(
+        perplexity=20.0, iterations=12, exaggeration_iters=5, momentum_switch_iter=7, seed=9
+    )
+    emb = tsne_embed(x, config=cfg)
+    p = joint_affinities(x, cfg.perplexity)
+    y = np.random.default_rng(cfg.seed).normal(0.0, 1e-4, size=(n, 2))
+    update = np.zeros_like(y)
+    kl_trace = []
+    for it in range(cfg.iterations):
+        factor = cfg.early_exaggeration_factor if it < cfg.exaggeration_iters else 1.0
+        momentum = cfg.momentum_init if it < cfg.momentum_switch_iter else cfg.momentum_final
+        y, update, _, kl = _dense_step(p, y, update, factor, momentum, cfg.step_size)
+        kl_trace.append(kl)
+    _assert_close(emb.points, y, 1e-12)
+    _assert_close(emb.kl_trace, kl_trace, 1e-12)
+
+
+@pytest.mark.parametrize("n", sorted(EDGE_SIZES))
+def test_conditional_affinities_match_per_row_search(n):
+    sq_dists = _dense_squared_distances(_cluster_points(n, seed=n + 1))
+    fast = _conditional_affinities(sq_dists, 15.0)
+    ref = _per_row_affinities(sq_dists, 15.0)
+    assert np.array_equal(fast == 0.0, ref == 0.0)
+    assert (ref == 0.0).any()
+    np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
+
+
+def test_conditional_affinities_cap_at_max_iter_and_ignore_the_diagonal():
+    sq_dists = _dense_squared_distances(_cluster_points(120, seed=3))
+    np.fill_diagonal(sq_dists, np.inf)
+    for max_iter in (0, 1, 4):
+        fast = _conditional_affinities(sq_dists, 10.0, max_iter=max_iter)
+        ref = _per_row_affinities(sq_dists, 10.0, max_iter=max_iter)
+        np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
+
+
+def test_tsne_embed_holds_p_and_one_kernel():
+    n = 800
+    x = _cluster_points(n, seed=1)
+    tracemalloc.start()
+    try:
+        tsne_embed(x, config=TsneConfig(perplexity=20.0, iterations=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8
 
 
 # --- embed_corpus ---

@@ -4,6 +4,7 @@ import pytest
 from aptattrib.corpus import SynthSpec, generate_synthetic_corpus
 from aptattrib.featurize import build_vocabulary, encode_labels, vectorize_corpus
 from aptattrib.network import (
+    DRAW_BLOCK_BYTES,
     ArchSpec,
     MlpModel,
     NumericalError,
@@ -75,6 +76,16 @@ def test_init_model_deterministic():
     assert _model_bytes(a) == _model_bytes(b)
     c = init_model(ArchSpec((6, 4, 3)), seed=6)
     assert _model_bytes(a) != _model_bytes(c)
+
+
+def test_init_model_blocked_draw_matches_one_shot_draw():
+    sizes = (5000, 64, 16, 3)
+    assert sizes[0] > DRAW_BLOCK_BYTES // (8 * sizes[1]), "layer 0 must span several blocks"
+    m = init_model(ArchSpec(sizes), seed=11)
+    rng = np.random.default_rng(11)
+    for w, (fan_in, fan_out) in zip(m.weights, zip(sizes, sizes[1:])):
+        expected = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        assert w.tobytes() == expected.astype(np.float32).tobytes()
 
 
 # --- forward ---
