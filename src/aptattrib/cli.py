@@ -6,10 +6,12 @@ command-line flags winning over config values, which win over the library
 defaults. The config schema is derived, not restated: the synth, train and
 tsne sections take exactly the fields of SynthSpec, TrainConfig (plus arch)
 and TsneConfig, with value types taken from the field defaults, and are
-type-checked once when the file is loaded. train and transfer share one set
-of training flags. Exit codes: 0 success, 2 usage or validation error,
-1 internal error. Diagnostics go to stderr; machine-readable results go to
-files or stdout.
+type-checked once when the file is loaded; the flags for those fields are
+typed the same way. train and transfer share one set of training flags. One
+table of path options (_PATH_OPTIONS) adds every command's path flags, names
+the paths section's keys and drives their resolution. Exit codes:
+0 success, 2 usage or validation error, 1 internal error. Diagnostics go to
+stderr; machine-readable results go to files or stdout.
 
 All randomness flows from one root seed (--seed or config "seed"): each
 stage derives its own sub-seed as the low 64 bits of
@@ -41,15 +43,14 @@ from .interpret import (
     TsneConfig,
     embed_corpus,
     export_embedding_csv,
-    export_importance_csv,
     export_scatter_svg,
     importance_csv,
     olden_importance,
 )
 from .network import (
-    DEFAULT_HIDDEN_SIZES,
     ArchSpec,
     TrainConfig,
+    default_arch,
     evaluate,
     init_model,
     load_model,
@@ -65,17 +66,55 @@ def _field_types(cls) -> dict[str, type]:
     return {f.name: type(f.default) for f in dataclasses.fields(cls)}
 
 
+# command -> its path options as (flag, paths key, help, required). The table
+# adds the flags, names the keys of the config's paths section, and drives
+# _resolve_paths.
+_PATH_OPTIONS = {
+    "synth": (("--out-dir", "corpus_dir", "directory for report files and manifest.jsonl", True),),
+    "vocab": (
+        ("--manifest", "manifest", "corpus manifest (JSONL)", True),
+        ("--out", "vocab", "vocabulary JSON output path", True),
+    ),
+    "vectorize": (
+        ("--manifest", "manifest", "corpus manifest (JSONL)", True),
+        ("--vocab", "vocab", "vocabulary JSON path", True),
+        ("--out", "matrix", "feature matrix output path", True),
+    ),
+    "train": (
+        ("--matrix", "matrix", "feature matrix path", True),
+        ("--model-out", "model", "model output path", True),
+        ("--report-out", "train_report", "training report JSON output path", False),
+    ),
+    "transfer": (
+        ("--base-model", "model", "source model path", True),
+        ("--matrix", "matrix", "feature matrix path (nation labels)", True),
+        ("--model-out", "transfer_model", "model output path", True),
+        ("--report-out", "transfer_report", "training report JSON output path", False),
+    ),
+    "eval": (
+        ("--model", "eval_model", "model path", True),
+        ("--matrix", "matrix", "feature matrix path", True),
+    ),
+    "importance": (
+        ("--model", "model", "model path", True),
+        ("--vocab", "vocab", "vocabulary JSON path", True),
+        ("--out", "importance_csv", "CSV output path (default stdout)", False),
+    ),
+    "embed": (
+        ("--model", "embed_model", "model path", True),
+        ("--matrix", "matrix", "feature matrix path", True),
+        ("--csv-out", "embedding_csv", "coordinate CSV output path", True),
+        ("--svg-out", "embedding_svg", "scatter SVG output path", False),
+    ),
+}
+
 # section -> key -> expected JSON value type (float keys also accept integers)
 _SCHEMA = {
     "synth": _field_types(SynthSpec),
     "vocab": {"max_size": int},
     "train": {**_field_types(TrainConfig), "arch": list},
     "tsne": _field_types(TsneConfig),
-    "paths": dict.fromkeys(
-        "corpus_dir manifest vocab matrix model train_report transfer_model transfer_report "
-        "eval_model embed_model importance_csv embedding_csv embedding_svg".split(),
-        str,
-    ),
+    "paths": {key: str for options in _PATH_OPTIONS.values() for _, key, _, _ in options},
 }
 _EXPECTED = {
     float: "a number",
@@ -133,18 +172,20 @@ def _root_seed(args, cfg: dict) -> int:
     return cfg.get("seed", 0)
 
 
-def _resolve(flag_value, cfg: dict, section: str, key: str, default=None):
-    """Flag wins; then the config section value; then the default."""
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(section, {}).get(key, default)
+def _resolve_paths(args, cfg: dict) -> None:
+    """Fill each path option of args.command: flag, then config paths.<key>, then error.
 
-
-def _resolve_path(flag_value, cfg: dict, key: str, what: str):
-    value = _resolve(flag_value, cfg, "paths", key)
-    if value is None:
-        raise ValueError(f"no {what} given: pass the flag or set paths.{key} in the config")
-    return value
+    paths.manifest defaults to manifest.jsonl under paths.corpus_dir.
+    """
+    paths = cfg.get("paths", {})
+    if "manifest" not in paths and "corpus_dir" in paths:
+        paths = {**paths, "manifest": str(Path(paths["corpus_dir"]) / "manifest.jsonl")}
+    for flag, key, _, required in _PATH_OPTIONS[args.command]:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, paths.get(key))
+        if required and getattr(args, dest) is None:
+            raise ValueError(f"no {key} path given: pass {flag} or set paths.{key} in the config")
 
 
 def _load_labeled_matrix(path: str, task: str):
@@ -188,56 +229,42 @@ def _write_report(report, path: str | None) -> None:
 
 def cmd_synth(args, cfg: dict) -> int:
     spec = _stage_config(SynthSpec, args, cfg, "synth", "synth")
-    out_dir = _resolve_path(args.out_dir, cfg, "corpus_dir", "output directory")
     corpus = generate_synthetic_corpus(spec)
-    manifest = export_corpus(corpus, out_dir)
-    print(f"wrote {len(corpus)} reports under {out_dir} (manifest {manifest})", file=sys.stderr)
+    manifest = export_corpus(corpus, args.out_dir)
+    print(
+        f"wrote {len(corpus)} reports under {args.out_dir} (manifest {manifest})", file=sys.stderr
+    )
     return 0
 
 
-def _manifest_path(args, cfg: dict) -> str:
-    manifest = _resolve(args.manifest, cfg, "paths", "manifest")
-    if manifest is None:
-        corpus_dir = cfg.get("paths", {}).get("corpus_dir")
-        if corpus_dir is not None:
-            return str(Path(corpus_dir) / "manifest.jsonl")
-        raise ValueError("no manifest given: pass --manifest or set paths.manifest")
-    return manifest
-
-
 def cmd_vocab(args, cfg: dict) -> int:
-    manifest = _manifest_path(args, cfg)
-    out = _resolve_path(args.out, cfg, "vocab", "vocabulary output path")
-    max_size = _resolve(args.max_size, cfg, "vocab", "max_size", DEFAULT_VOCAB_SIZE)
-    corpus = load_corpus(manifest)
+    max_size = args.max_size
+    if max_size is None:
+        max_size = cfg.get("vocab", {}).get("max_size", DEFAULT_VOCAB_SIZE)
+    corpus = load_corpus(args.manifest)
     vocab = build_vocabulary(corpus, max_size=max_size)
-    save_vocabulary(vocab, out)
-    print(f"vocabulary of {len(vocab)} tokens from {len(corpus)} reports -> {out}", file=sys.stderr)
+    save_vocabulary(vocab, args.out)
+    print(
+        f"vocabulary of {len(vocab)} tokens from {len(corpus)} reports -> {args.out}",
+        file=sys.stderr,
+    )
     return 0
 
 
 def cmd_vectorize(args, cfg: dict) -> int:
-    manifest = _manifest_path(args, cfg)
-    vocab_path = _resolve_path(args.vocab, cfg, "vocab", "vocabulary path")
-    out = _resolve_path(args.out, cfg, "matrix", "matrix output path")
-    corpus = load_corpus(manifest)
-    vocab = load_vocabulary(vocab_path)
+    corpus = load_corpus(args.manifest)
+    vocab = load_vocabulary(args.vocab)
     rows, nations, families = vectorize_corpus(corpus, vocab)
-    save_matrix(out, rows, nations, families)
-    print(f"feature matrix {rows.shape[0]}x{rows.shape[1]} -> {out}", file=sys.stderr)
+    save_matrix(args.out, rows, nations, families)
+    print(f"feature matrix {rows.shape[0]}x{rows.shape[1]} -> {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_train(args, cfg: dict) -> int:
     config = _stage_config(TrainConfig, args, cfg, "train", "train")
-    matrix_path = _resolve_path(args.matrix, cfg, "matrix", "matrix path")
-    model_out = _resolve_path(args.model_out, cfg, "model", "model output path")
-    report_out = _resolve(args.report_out, cfg, "paths", "train_report")
-    rows, classes, labels = _load_labeled_matrix(matrix_path, args.task)
-    arch_sizes = args.arch if args.arch is not None else cfg.get("train", {}).get("arch")
-    if arch_sizes is None:
-        arch_sizes = [rows.shape[1], *DEFAULT_HIDDEN_SIZES, len(classes)]
-    arch = ArchSpec(tuple(arch_sizes))
+    rows, classes, labels = _load_labeled_matrix(args.matrix, args.task)
+    sizes = args.arch if args.arch is not None else cfg.get("train", {}).get("arch")
+    arch = default_arch(rows.shape[1], len(classes)) if sizes is None else ArchSpec(tuple(sizes))
     if arch.input_size != rows.shape[1]:
         raise ValueError(
             f"arch input size {arch.input_size} does not match matrix width {rows.shape[1]}"
@@ -254,20 +281,16 @@ def cmd_train(args, cfg: dict) -> int:
         file=sys.stderr,
     )
     report = train(model, rows, labels, config)
-    save_model(model, model_out)
-    print(f"wrote model to {model_out}", file=sys.stderr)
-    _write_report(report, report_out)
+    save_model(model, args.model_out)
+    print(f"wrote model to {args.model_out}", file=sys.stderr)
+    _write_report(report, args.report_out)
     return 0
 
 
 def cmd_transfer(args, cfg: dict) -> int:
     config = _stage_config(TrainConfig, args, cfg, "train", "transfer")
-    base_path = _resolve_path(args.base_model, cfg, "model", "base model path")
-    matrix_path = _resolve_path(args.matrix, cfg, "matrix", "matrix path")
-    model_out = _resolve_path(args.model_out, cfg, "transfer_model", "model output path")
-    report_out = _resolve(args.report_out, cfg, "paths", "transfer_report")
-    base = load_model(base_path)
-    rows, classes, labels = _load_labeled_matrix(matrix_path, "nation")
+    base = load_model(args.base_model)
+    rows, classes, labels = _load_labeled_matrix(args.matrix, "nation")
     if base.arch.input_size != rows.shape[1]:
         raise ValueError(
             f"base model input size {base.arch.input_size} does not match "
@@ -279,17 +302,15 @@ def cmd_transfer(args, cfg: dict) -> int:
         file=sys.stderr,
     )
     model, report = transfer_train(base, len(classes), rows, labels, config)
-    save_model(model, model_out)
-    print(f"wrote transferred model to {model_out}", file=sys.stderr)
-    _write_report(report, report_out)
+    save_model(model, args.model_out)
+    print(f"wrote transferred model to {args.model_out}", file=sys.stderr)
+    _write_report(report, args.report_out)
     return 0
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    model_path = _resolve_path(args.model, cfg, "eval_model", "model path")
-    matrix_path = _resolve_path(args.matrix, cfg, "matrix", "matrix path")
-    model = load_model(model_path)
-    rows, classes, labels = _load_labeled_matrix(matrix_path, args.task)
+    model = load_model(args.model)
+    rows, classes, labels = _load_labeled_matrix(args.matrix, args.task)
     if len(classes) != model.arch.output_size:
         raise ValueError(
             f"model has {model.arch.output_size} outputs but matrix carries "
@@ -308,42 +329,46 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_importance(args, cfg: dict) -> int:
-    model_path = _resolve_path(args.model, cfg, "model", "model path")
-    vocab_path = _resolve_path(args.vocab, cfg, "vocab", "vocabulary path")
-    out = _resolve(args.out, cfg, "paths", "importance_csv")
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
-    model = load_model(model_path)
-    vocab = load_vocabulary(vocab_path)
+    model = load_model(args.model)
+    vocab = load_vocabulary(args.vocab)
     ranking = olden_importance(model, vocab)
-    if out:
-        export_importance_csv(ranking, out, args.top)
-        print(f"wrote top {min(args.top, len(ranking))} features to {out}", file=sys.stderr)
+    text = importance_csv(ranking, args.top)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        print(f"wrote top {min(args.top, len(ranking))} features to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(importance_csv(ranking, args.top))
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_embed(args, cfg: dict) -> int:
     config = _stage_config(TsneConfig, args, cfg, "tsne", "embed")
-    model_path = _resolve_path(args.model, cfg, "embed_model", "model path")
-    matrix_path = _resolve_path(args.matrix, cfg, "matrix", "matrix path")
-    csv_out = _resolve_path(args.csv_out, cfg, "embedding_csv", "embedding CSV path")
-    svg_out = _resolve(args.svg_out, cfg, "paths", "embedding_svg")
-    model = load_model(model_path)
-    rows, nations, families = load_matrix(matrix_path)
+    model = load_model(args.model)
+    rows, nations, families = load_matrix(args.matrix)
     print(
         f"embedding {rows.shape[0]} samples (perplexity {config.perplexity}, "
         f"{config.iterations} iterations)",
         file=sys.stderr,
     )
     embedding = embed_corpus(model, rows, nations, families, args.label_kind, config)
-    export_embedding_csv(embedding, csv_out)
-    print(f"wrote coordinates to {csv_out} (final KL {embedding.final_kl:.4f})", file=sys.stderr)
-    if svg_out:
-        export_scatter_svg(embedding, svg_out)
-        print(f"wrote scatter to {svg_out}", file=sys.stderr)
+    export_embedding_csv(embedding, args.csv_out)
+    print(
+        f"wrote coordinates to {args.csv_out} (final KL {embedding.final_kl:.4f})",
+        file=sys.stderr,
+    )
+    if args.svg_out:
+        export_scatter_svg(embedding, args.svg_out)
+        print(f"wrote scatter to {args.svg_out}", file=sys.stderr)
     return 0
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, cls, names: str) -> None:
+    """One flag per named field of cls, typed like its default, as _SCHEMA is."""
+    kinds = _field_types(cls)
+    for name in names.split():
+        parser.add_argument("--" + name.replace("_", "-"), type=kinds[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -351,17 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override its values")
     common.add_argument("--seed", type=int, help="root seed (unsigned 64-bit)")
     training = argparse.ArgumentParser(add_help=False)
-    training.add_argument("--model-out", help="model output path")
-    training.add_argument("--report-out", help="training report JSON output path")
-    for flag, kind in (
-        ("--lr-init", float),
-        ("--lr-final", float),
-        ("--epochs", int),
-        ("--dropout-rate", float),
-        ("--input-noise-rate", float),
-        ("--batch-size", int),
-    ):
-        training.add_argument(flag, type=kind)
+    _add_field_flags(
+        training, TrainConfig, "lr_init lr_final epochs dropout_rate input_noise_rate batch_size"
+    )
     training.add_argument("--no-shuffle", dest="shuffle", action="store_false", default=None)
 
     parser = argparse.ArgumentParser(
@@ -371,67 +388,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic labeled corpus")
-    p.add_argument("--out-dir", help="directory for report files and manifest.jsonl")
-    p.add_argument("--nations", type=int)
-    p.add_argument("--families-per-nation", type=int)
-    p.add_argument("--reports-per-family", type=int)
-    p.add_argument("--p-nation", type=float)
-    p.add_argument("--p-family", type=float)
-    p.set_defaults(func=cmd_synth)
+    def command(name: str, func, summary: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        for flag, _, text, _ in _PATH_OPTIONS[name]:
+            p.add_argument(flag, help=text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("vocab", parents=[common], help="build a vocabulary from a manifest")
-    p.add_argument("--manifest", help="corpus manifest (JSONL)")
-    p.add_argument("--out", help="vocabulary JSON output path")
-    p.add_argument("--max-size", type=int, help=f"vocabulary cap (default {DEFAULT_VOCAB_SIZE})")
-    p.set_defaults(func=cmd_vocab)
-
-    p = sub.add_parser("vectorize", parents=[common], help="vectorize a corpus to a matrix file")
-    p.add_argument("--manifest", help="corpus manifest (JSONL)")
-    p.add_argument("--vocab", help="vocabulary JSON path")
-    p.add_argument("--out", help="feature matrix output path")
-    p.set_defaults(func=cmd_vectorize)
-
-    p = sub.add_parser(
-        "train", parents=[common, training], help="train a classifier on a matrix file"
+    p = command("synth", cmd_synth, "generate a synthetic labeled corpus")
+    _add_field_flags(
+        p, SynthSpec, "nations families_per_nation reports_per_family p_nation p_family"
     )
-    p.add_argument("--matrix", help="feature matrix path")
+
+    p = command("vocab", cmd_vocab, "build a vocabulary from a manifest")
+    p.add_argument("--max-size", type=int, help=f"vocabulary cap (default {DEFAULT_VOCAB_SIZE})")
+
+    command("vectorize", cmd_vectorize, "vectorize a corpus to a matrix file")
+
+    p = command("train", cmd_train, "train a classifier on a matrix file", training)
     p.add_argument("--task", choices=("nation", "family"), default="family")
     p.add_argument("--arch", type=_parse_arch_flag, help="comma-separated node-layer sizes")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser(
-        "transfer",
-        parents=[common, training],
-        help="retrain the head of a model for nation attribution",
+    command(
+        "transfer", cmd_transfer, "retrain the head of a model for nation attribution", training
     )
-    p.add_argument("--base-model", help="source model path")
-    p.add_argument("--matrix", help="feature matrix path (nation labels)")
-    p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a model; JSON metrics to stdout")
-    p.add_argument("--model", help="model path")
-    p.add_argument("--matrix", help="feature matrix path")
+    p = command("eval", cmd_eval, "evaluate a model; JSON metrics to stdout")
     p.add_argument("--task", choices=("nation", "family"), default="nation")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("importance", parents=[common], help="rank features by contribution")
-    p.add_argument("--model", help="model path")
-    p.add_argument("--vocab", help="vocabulary JSON path")
+    p = command("importance", cmd_importance, "rank features by contribution")
     p.add_argument("--top", type=int, default=100, help="rows to emit (default 100)")
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_importance)
 
-    p = sub.add_parser("embed", parents=[common], help="2D embedding of penultimate activations")
-    p.add_argument("--model", help="model path")
-    p.add_argument("--matrix", help="feature matrix path")
+    p = command("embed", cmd_embed, "2D embedding of penultimate activations")
     p.add_argument("--label-kind", choices=("nation", "family"), default="nation")
-    p.add_argument("--csv-out", help="coordinate CSV output path")
-    p.add_argument("--svg-out", help="scatter SVG output path")
-    p.add_argument("--perplexity", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--step-size", type=float)
-    p.set_defaults(func=cmd_embed)
+    _add_field_flags(p, TsneConfig, "perplexity iterations step_size")
     return parser
 
 
@@ -440,6 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _resolve_paths(args, cfg)
         return args.func(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

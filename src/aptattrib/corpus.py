@@ -115,6 +115,18 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
                 raise CorpusError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
                 raise CorpusError(f"manifest line {lineno}: expected object with id and path")
+            for key in ("id", "path"):
+                if not isinstance(entry[key], str) or not entry[key]:
+                    raise CorpusError(
+                        f"manifest line {lineno}: {key} must be a non-empty string, "
+                        f"got {json.dumps(entry[key])}"
+                    )
+            for key in ("nation", "family"):
+                if not isinstance(entry.get(key), (str, type(None))):
+                    raise CorpusError(
+                        f"manifest line {lineno}: {key} must be a string or null, "
+                        f"got {json.dumps(entry[key])}"
+                    )
             report_path = base / entry["path"]
             if not report_path.is_file():
                 raise CorpusError(f"manifest line {lineno}: report file not found: {report_path}")

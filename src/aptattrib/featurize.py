@@ -164,48 +164,51 @@ def save_matrix(
                 fh.write(raw)
 
 
+def _read_exact(fh, where: str, count: int, what: str) -> bytes:
+    raw = fh.read(count)
+    if len(raw) != count:
+        raise FormatError(f"{where}: truncated {what}")
+    return raw
+
+
+def _read_header(fh, where: str, magic: bytes, version: int, fmt: str) -> tuple:
+    """Check the magic, then the uint32 version; return the header fields after it."""
+    got = fh.read(len(magic))
+    if len(got) != len(magic):
+        raise FormatError(f"{where}: truncated before magic")
+    if got != magic:
+        raise FormatError(f"{where}: bad magic {got!r}, expected {magic!r}")
+    fmt = "<I" + fmt
+    found, *fields = struct.unpack(fmt, _read_exact(fh, where, struct.calcsize(fmt), "header"))
+    if found != version:
+        raise FormatError(f"{where}: version {found}, expected {version}")
+    return tuple(fields)
+
+
+def _check_remaining(fh, where: str, need: int, what: str) -> None:
+    """Fail before allocating when the header asks for more bytes than the file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if need > left:
+        raise FormatError(f"{where}: truncated: {what} need {need} bytes, but {left} remain")
+
+
+def _check_end(fh, where: str) -> None:
+    if fh.read(1):
+        raise FormatError(f"{where}: trailing bytes after the data")
+
+
 def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str | None], list[str | None]]:
+    where = f"feature-matrix file {path}"
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if len(magic) != 4:
-            raise FormatError(f"feature-matrix file {path}: truncated before magic")
-        if magic != MATRIX_MAGIC:
-            raise FormatError(
-                f"feature-matrix file {path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}"
-            )
-        header = fh.read(12)
-        if len(header) != 12:
-            raise FormatError(f"feature-matrix file {path}: truncated header")
-        version, n, cols = struct.unpack("<III", header)
-        if version != MATRIX_VERSION:
-            raise FormatError(
-                f"feature-matrix file {path}: version {version}, expected {MATRIX_VERSION}"
-            )
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if n * cols + 4 * n > left:
-            raise FormatError(
-                f"feature-matrix file {path}: truncated: header declares {n}x{cols} "
-                f"cells and {n} label pairs, but {left} bytes remain"
-            )
-        body = fh.read(n * cols)
-        if len(body) != n * cols:
-            raise FormatError(f"feature-matrix file {path}: truncated matrix body")
+        n, cols = _read_header(fh, where, MATRIX_MAGIC, MATRIX_VERSION, "II")
+        _check_remaining(fh, where, n * cols + 4 * n, f"{n}x{cols} cells and {n} label pairs")
+        body = _read_exact(fh, where, n * cols, "matrix body")
         rows = np.frombuffer(body, dtype=np.uint8).reshape(n, cols).copy()
         if rows.size and not np.isin(rows, (0, 1)).all():
-            raise FormatError(f"feature-matrix file {path}: cell values must be 0 or 1")
-        nations: list[str | None] = []
-        families: list[str | None] = []
-        for _ in range(n):
-            pair: list[str | None] = []
-            for _ in range(2):
-                len_raw = fh.read(2)
-                if len(len_raw) != 2:
-                    raise FormatError(f"feature-matrix file {path}: truncated labels")
-                (length,) = struct.unpack("<H", len_raw)
-                raw = fh.read(length)
-                if len(raw) != length:
-                    raise FormatError(f"feature-matrix file {path}: truncated labels")
-                pair.append(raw.decode("utf-8") if length else None)
-            nations.append(pair[0])
-            families.append(pair[1])
-    return rows, nations, families
+            raise FormatError(f"{where}: cell values must be 0 or 1")
+        labels: list[str | None] = []
+        for _ in range(2 * n):
+            (length,) = struct.unpack("<H", _read_exact(fh, where, 2, "labels"))
+            labels.append(_read_exact(fh, where, length, "labels").decode("utf-8") or None)
+        _check_end(fh, where)
+    return rows, labels[0::2], labels[1::2]

@@ -4,29 +4,25 @@ Importance follows the connection-weights idea: multiply the weight matrices
 straight through (biases and nonlinearities excluded) so entry [i, c] sums
 the products of edge weights over every input-i to class-c path. The
 embedding is exact O(n^2) t-SNE driven by the penultimate layer's
-activations. It runs in row blocks of at most BLOCK_BYTES: the bandwidth
-search bisects a block of points at once, and each iteration fills one n x n
-Student-t kernel in place, then takes Q, the gradient and the KL from it a
-block at a time, so its memory is P plus that kernel.
+activations. It runs in row blocks of at most network.BLOCK_BYTES, the
+budget init_model's draws also use: the bandwidth search bisects a block of
+points at once, and each iteration fills one n x n Student-t kernel in
+place, then takes Q, the gradient and the KL from it a block at a time, so
+its memory is P plus that kernel.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .featurize import Vocabulary
-from .network import MlpModel, penultimate_activations
+from .network import MlpModel, _require_finite, _row_blocks, penultimate_activations
 
 P_FLOOR = 1e-12
-# Row-block budget of the t-SNE kernels and of olden_importance's float64 W0.
-# Summation order, and so the embedding's bits, follows the block size, which
-# is why it is fixed here and not derived from the machine.
-BLOCK_BYTES = 1 << 19
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
 SVG_MARGIN = 20
@@ -40,13 +36,6 @@ PALETTE = (
     "#e377c2",
     "#7f7f7f",
 )
-
-
-def _row_blocks(n_rows: int, row_bytes: int):
-    """Consecutive row slices of n_rows rows, at most BLOCK_BYTES each (at least one row)."""
-    rows = max(1, BLOCK_BYTES // row_bytes)
-    for start in range(0, n_rows, rows):
-        yield slice(start, min(start + rows, n_rows))
 
 
 @dataclass
@@ -85,10 +74,7 @@ class TsneConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        _require_finite(self)
         if self.perplexity < 1.0:
             raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
         if self.iterations < 1:
@@ -364,12 +350,6 @@ def importance_csv(ranking: ImportanceRanking, top: int | None = None) -> str:
         cells.extend(repr(float(v)) for v in contribs)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def export_importance_csv(
-    ranking: ImportanceRanking, path: str | Path, top: int | None = None
-) -> None:
-    Path(path).write_text(importance_csv(ranking, top), encoding="utf-8")
 
 
 def export_embedding_csv(embedding: Embedding2D, path: str | Path) -> None:

@@ -13,23 +13,34 @@ train step updates the gathered rows and scatters them back. Untouched rows
 get exactly zero gradient either way. Denser batches use the dense matmul.
 The two paths differ only in float32 summation order. Backprop stops at the
 lowest trainable layer.
+
+init_model is the one place weights are drawn: transfer.replace_head takes a
+new head from it and gradient_check widens its weights to float64. Its draws,
+like interpret's blocked work, run in row blocks of at most BLOCK_BYTES.
+Model files are read with the same strict checks as feature-matrix files
+(magic, version, sizes against the file, exact reads, no trailing bytes).
 """
 
 from __future__ import annotations
 
-import os
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .featurize import FormatError, _check_end, _check_remaining, _read_exact, _read_header
+
 MODEL_MAGIC = b"APTM"
 MODEL_VERSION = 1
 PROB_FLOOR = 1e-12
-# Float64 scratch per row block when init_model draws a weight matrix.
-DRAW_BLOCK_BYTES = 1 << 20
+# Row-block budget of float64 scratch: init_model's draws, the t-SNE kernels
+# and olden_importance's float64 W0. Summation order, and so the embedding's
+# bits, follows the block size, which is why it is fixed here and not derived
+# from the machine. The init bytes do not depend on it.
+BLOCK_BYTES = 1 << 19
 
 # Hidden widths of the default architecture; attribution nets end in 2
 # classes, family nets in 4.
@@ -61,12 +72,16 @@ class ArchSpec:
         return self.layer_sizes[-1]
 
 
-def default_attribution_arch(input_size: int = 50_000, classes: int = 2) -> ArchSpec:
+def default_arch(input_size: int, classes: int) -> ArchSpec:
+    """The paper's stack: input_size inputs, DEFAULT_HIDDEN_SIZES, then classes."""
     return ArchSpec((input_size, *DEFAULT_HIDDEN_SIZES, classes))
 
 
-def default_family_arch(input_size: int = 50_000, classes: int = 4) -> ArchSpec:
-    return ArchSpec((input_size, *DEFAULT_HIDDEN_SIZES, classes))
+def _row_blocks(n_rows: int, row_bytes: int):
+    """Consecutive row slices of n_rows rows, at most BLOCK_BYTES each (at least one row)."""
+    rows = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, n_rows, rows):
+        yield slice(start, min(start + rows, n_rows))
 
 
 @dataclass
@@ -87,6 +102,14 @@ class MlpModel:
         )
 
 
+def _require_finite(config) -> None:
+    """Reject a NaN or infinite value in any float field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr_init: float = 1e-2
@@ -99,6 +122,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> None:
+        _require_finite(self)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         if not 0.0 <= self.input_noise_rate < 1.0:
@@ -149,10 +173,8 @@ def init_model(arch: ArchSpec, seed: int) -> MlpModel:
         # Drawn in float64 row blocks straight into float32: the same bytes as
         # one float64 draw cast at once, without the full float64 matrix.
         w = np.empty((fan_in, fan_out), dtype=np.float32)
-        rows = max(1, DRAW_BLOCK_BYTES // (8 * fan_out))
-        for start in range(0, fan_in, rows):
-            stop = min(start + rows, fan_in)
-            w[start:stop] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(stop - start, fan_out))
+        for s in _row_blocks(fan_in, 8 * fan_out):
+            w[s] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(s.stop - s.start, fan_out))
         weights.append(w)
         biases.append(np.zeros(fan_out, dtype=np.float32))
     return MlpModel(arch=arch, weights=weights, biases=biases, trainable=[True] * len(weights))
@@ -455,8 +477,9 @@ def gradient_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Runs a float64 path on a freshly initialized model with no dropout or
-    noise. Guarded to small architectures; intended as a correctness harness
+    Runs a float64 path with no dropout or noise on init_model's weights,
+    widened to float64, and nonzero biases drawn from a generator of their
+    own. Guarded to small architectures; intended as a correctness harness
     for the backpropagation code.
     """
     if len(arch.layer_sizes) > 5 or max(arch.layer_sizes) > 16:
@@ -468,12 +491,9 @@ def gradient_check(
     if x.shape[1] != arch.input_size:
         raise ValueError("sample width does not match architecture input")
     y = np.array([label], dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    weights = [
-        rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        for fan_in, fan_out in zip(arch.layer_sizes, arch.layer_sizes[1:])
-    ]
-    biases = [rng.normal(0.0, 0.1, size=fan_out) for fan_out in arch.layer_sizes[1:]]
+    weights = [w.astype(np.float64) for w in init_model(arch, seed).weights]
+    bias_rng = np.random.default_rng([seed, 1])
+    biases = [bias_rng.normal(0.0, 0.1, size=fan_out) for fan_out in arch.layer_sizes[1:]]
 
     def loss_at() -> float:
         acts, _ = _forward_pass(weights, biases, x)
@@ -520,45 +540,27 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MlpModel:
-    def read_exact(fh, count: int, what: str) -> bytes:
-        raw = fh.read(count)
-        if len(raw) != count:
-            raise ValueError(f"model file {path}: truncated while reading {what}")
-        return raw
-
+    where = f"model file {path}"
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if len(magic) != 4:
-            raise ValueError(f"model file {path}: truncated before magic")
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"model file {path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        version, n_layers = struct.unpack("<IH", read_exact(fh, 6, "header"))
-        if version != MODEL_VERSION:
-            raise ValueError(f"model file {path}: version {version}, expected {MODEL_VERSION}")
+        (n_layers,) = _read_header(fh, where, MODEL_MAGIC, MODEL_VERSION, "H")
         if n_layers < 2:
-            raise ValueError(f"model file {path}: needs >= 2 node-layers, got {n_layers}")
-        sizes = struct.unpack(f"<{n_layers}I", read_exact(fh, 4 * n_layers, "layer sizes"))
-        flags = struct.unpack(
-            f"<{n_layers - 1}B", read_exact(fh, n_layers - 1, "trainable flags")
-        )
-        need = sum(4 * (fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if need > left:
-            raise ValueError(
-                f"model file {path}: truncated: layer sizes {sizes} need {need} bytes "
-                f"of weights and biases, but {left} remain"
-            )
+            raise FormatError(f"{where}: needs >= 2 node-layers, got {n_layers}")
+        raw = _read_exact(fh, where, 4 * n_layers, "layer sizes")
+        sizes = struct.unpack(f"<{n_layers}I", raw)
+        flags = _read_exact(fh, where, n_layers - 1, "trainable flags")
+        shapes = list(zip(sizes, sizes[1:]))
+        need = sum(4 * (fan_in + 1) * fan_out for fan_in, fan_out in shapes)
+        _check_remaining(fh, where, need, f"layer sizes {sizes}")
         weights = []
         biases = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            raw = read_exact(fh, 4 * fan_in * fan_out, "weights")
-            weights.append(np.frombuffer(raw, dtype="<f4").reshape(fan_in, fan_out).copy())
-            raw = read_exact(fh, 4 * fan_out, "biases")
+        for shape in shapes:
+            raw = _read_exact(fh, where, 4 * shape[0] * shape[1], "weights")
+            weights.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
+            raw = _read_exact(fh, where, 4 * shape[1], "biases")
             biases.append(np.frombuffer(raw, dtype="<f4").copy())
-        if fh.read(1):
-            raise ValueError(f"model file {path}: trailing bytes after model data")
+        _check_end(fh, where)
     return MlpModel(
-        arch=ArchSpec(tuple(int(s) for s in sizes)),
+        arch=ArchSpec(sizes),
         weights=weights,
         biases=biases,
         trainable=[bool(f) for f in flags],

@@ -10,29 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import ArchSpec, MlpModel, TrainConfig, TrainReport, train
+from .network import ArchSpec, MlpModel, TrainConfig, TrainReport, init_model, train
 
 
 def replace_head(model: MlpModel, new_classes: int, seed: int) -> MlpModel:
     """Return a copy with a freshly initialized final layer sized for new_classes.
 
     Trunk weights, biases, and trainable flags are copied unchanged; the new
-    head uses the same init scheme as a fresh model and is trainable.
+    head is init_model's single layer for (fan_in, new_classes) under seed,
+    and is trainable.
     """
     if new_classes < 1:
         raise ValueError(f"new_classes must be >= 1, got {new_classes}")
     if len(model.weights) < 2:
         raise ValueError("model too small: head replacement needs at least 2 weighted layers")
-    fan_in = model.arch.layer_sizes[-2]
-    rng = np.random.default_rng(seed)
-    head_w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, new_classes)).astype(
-        np.float32
-    )
-    head_b = np.zeros(new_classes, dtype=np.float32)
+    head = init_model(ArchSpec((model.arch.layer_sizes[-2], new_classes)), seed)
     return MlpModel(
         arch=ArchSpec((*model.arch.layer_sizes[:-1], new_classes)),
-        weights=[w.copy() for w in model.weights[:-1]] + [head_w],
-        biases=[b.copy() for b in model.biases[:-1]] + [head_b],
+        weights=[w.copy() for w in model.weights[:-1]] + head.weights,
+        biases=[b.copy() for b in model.biases[:-1]] + head.biases,
         trainable=list(model.trainable[:-1]) + [True],
     )
 

@@ -464,3 +464,98 @@ def test_importance_rejects_top_before_loading_model(tmp_path, capsys, monkeypat
     assert rc == 2
     assert "--top" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--lr-init", "inf", "--lr-final", "inf"], "lr_init"),
+        (["--lr-final", "nan"], "lr_final"),
+        (["--dropout-rate=-inf"], "dropout_rate"),
+    ],
+)
+def test_train_rejects_non_finite_settings_and_writes_nothing(tmp_path, capsys, flags, key):
+    config_path, cfg = _write_pipeline_config(tmp_path)
+    args = ["--config", str(config_path)]
+    for command in ("synth", "vocab", "vectorize"):
+        assert main([command, *args]) == 0
+    vocab = load_vocabulary(cfg["paths"]["vocab"])
+    capsys.readouterr()
+    rc = main(["train", *args, "--arch", f"{len(vocab)},8,4", *flags])
+    assert rc == 2
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "family.model").exists()
+
+
+_COMMON_FLAGS = {"--config config - None", "--seed seed int None"}
+_TRAINING_FLAGS = {
+    "--lr-init lr_init float None",
+    "--lr-final lr_final float None",
+    "--epochs epochs int None",
+    "--dropout-rate dropout_rate float None",
+    "--input-noise-rate input_noise_rate float None",
+    "--batch-size batch_size int None",
+    "--no-shuffle shuffle - None",
+    "--matrix matrix - None",
+    "--model-out model_out - None",
+    "--report-out report_out - None",
+}
+# Each subcommand's flags as "flag dest type default", type "-" for a plain string.
+_PARSER_SURFACE = {
+    "synth": {
+        "--out-dir out_dir - None",
+        "--nations nations int None",
+        "--families-per-nation families_per_nation int None",
+        "--reports-per-family reports_per_family int None",
+        "--p-nation p_nation float None",
+        "--p-family p_family float None",
+    },
+    "vocab": {"--manifest manifest - None", "--out out - None", "--max-size max_size int None"},
+    "vectorize": {"--manifest manifest - None", "--vocab vocab - None", "--out out - None"},
+    "train": _TRAINING_FLAGS
+    | {"--task task - family", "--arch arch _parse_arch_flag None"},
+    "transfer": _TRAINING_FLAGS | {"--base-model base_model - None"},
+    "eval": {"--model model - None", "--matrix matrix - None", "--task task - nation"},
+    "importance": {
+        "--model model - None",
+        "--vocab vocab - None",
+        "--top top int 100",
+        "--out out - None",
+    },
+    "embed": {
+        "--model model - None",
+        "--matrix matrix - None",
+        "--label-kind label_kind - nation",
+        "--csv-out csv_out - None",
+        "--svg-out svg_out - None",
+        "--perplexity perplexity float None",
+        "--iterations iterations int None",
+        "--step-size step_size float None",
+    },
+}
+
+
+def test_parser_and_schema_surface_is_pinned():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    surface = {
+        name: {
+            f"{a.option_strings[0]} {a.dest} {getattr(a.type, '__name__', '-')} {a.default}"
+            for a in sub._actions
+            if a.dest != "help"
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert surface == {name: _COMMON_FLAGS | flags for name, flags in _PARSER_SURFACE.items()}
+    fields = {cls: {f.name for f in dataclasses.fields(cls)} for cls in (SynthSpec, TrainConfig)}
+    assert {section: set(keys) for section, keys in cli._SCHEMA.items()} == {
+        "synth": fields[SynthSpec],
+        "vocab": {"max_size"},
+        "train": fields[TrainConfig] | {"arch"},
+        "tsne": {f.name for f in dataclasses.fields(TsneConfig)},
+        "paths": set(
+            "corpus_dir manifest vocab matrix model train_report transfer_model "
+            "transfer_report eval_model embed_model importance_csv embedding_csv "
+            "embedding_svg".split()
+        ),
+    }

@@ -201,6 +201,25 @@ def test_load_corpus_requires_id_and_path(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"id": "a", "path": 5}, "path"),
+        ({"id": "a", "path": ""}, "path"),
+        ({"id": 7, "path": "a.txt"}, "id"),
+        ({"id": "", "path": "a.txt"}, "id"),
+        ({"id": "a", "path": "a.txt", "nation": ["x"]}, "nation"),
+        ({"id": "a", "path": "a.txt", "family": 3}, "family"),
+    ],
+)
+def test_load_corpus_type_checks_manifest_fields(tmp_path, fields, key):
+    (tmp_path / "a.txt").write_text("x")
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"id": "ok", "path": "a.txt"}\n' + json.dumps(fields) + "\n")
+    with pytest.raises(CorpusError, match=f"line 2: {key} must be"):
+        load_corpus(path)
+
+
 def test_load_corpus_replaces_invalid_utf8(tmp_path):
     (tmp_path / "a.txt").write_bytes(b"alpha \xff\xfe beta")
     (tmp_path / "manifest.jsonl").write_text('{"id": "a", "path": "a.txt"}\n')

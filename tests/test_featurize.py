@@ -328,6 +328,15 @@ def test_matrix_rejects_wrong_version(tmp_path):
         load_matrix(path)
 
 
+def test_matrix_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "m.bin"
+    rows, nations, families = _sample_matrix()
+    save_matrix(path, rows, nations, families)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="trailing"):
+        load_matrix(path)
+
+
 def test_matrix_rejects_non_binary_cell(tmp_path):
     path = tmp_path / "m.bin"
     rows, nations, families = _sample_matrix()

@@ -7,12 +7,10 @@ import pytest
 
 from aptattrib.featurize import Vocabulary
 from aptattrib.interpret import (
-    BLOCK_BYTES,
     P_FLOOR,
     Embedding2D,
     TsneConfig,
     _conditional_affinities,
-    _row_blocks,
     _squared_distances,
     _TsneIteration,
     embed_corpus,
@@ -23,7 +21,7 @@ from aptattrib.interpret import (
     olden_importance,
     tsne_embed,
 )
-from aptattrib.network import ArchSpec, MlpModel, init_model
+from aptattrib.network import BLOCK_BYTES, ArchSpec, MlpModel, _row_blocks, init_model
 
 
 def _vocab(n):

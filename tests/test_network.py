@@ -4,7 +4,7 @@ import pytest
 from aptattrib.corpus import SynthSpec, generate_synthetic_corpus
 from aptattrib.featurize import build_vocabulary, encode_labels, vectorize_corpus
 from aptattrib.network import (
-    DRAW_BLOCK_BYTES,
+    BLOCK_BYTES,
     ArchSpec,
     MlpModel,
     NumericalError,
@@ -12,8 +12,7 @@ from aptattrib.network import (
     _backward_pass,
     _forward_pass,
     _layer0,
-    default_attribution_arch,
-    default_family_arch,
+    default_arch,
     evaluate,
     forward,
     gradient_check,
@@ -45,11 +44,11 @@ def test_arch_requires_positive_sizes():
 
 
 def test_default_arch_shapes():
-    att = default_attribution_arch()
+    att = default_arch(50_000, 2)
     assert att.layer_sizes == (50_000, 2000, 1000, 1000, 1000, 1000, 1000, 1000, 500, 2)
     assert len(att.layer_sizes) - 1 == 9
     assert att.layer_sizes[-2] == 500
-    fam = default_family_arch()
+    fam = default_arch(50_000, 4)
     assert fam.layer_sizes[-1] == 4
     assert fam.layer_sizes[:-1] == att.layer_sizes[:-1]
 
@@ -80,7 +79,7 @@ def test_init_model_deterministic():
 
 def test_init_model_blocked_draw_matches_one_shot_draw():
     sizes = (5000, 64, 16, 3)
-    assert sizes[0] > DRAW_BLOCK_BYTES // (8 * sizes[1]), "layer 0 must span several blocks"
+    assert sizes[0] > BLOCK_BYTES // (8 * sizes[1]), "layer 0 must span several blocks"
     m = init_model(ArchSpec(sizes), seed=11)
     rng = np.random.default_rng(11)
     for w, (fan_in, fan_out) in zip(m.weights, zip(sizes, sizes[1:])):
@@ -180,7 +179,7 @@ def test_penultimate_zero_input_zero_biases():
 
 
 def test_penultimate_width_matches_second_topmost():
-    m = init_model(default_attribution_arch(input_size=100), seed=0)
+    m = init_model(default_arch(100, 2), seed=0)
     out = penultimate_activations(m, np.ones(100, dtype=np.float32))
     assert out.shape == (500,)
 

@@ -29,6 +29,14 @@ def test_replace_head_same_size_still_reinitializes():
     assert swapped.weights[-1].tobytes() != base.weights[-1].tobytes()
 
 
+def test_replace_head_draws_init_models_head():
+    base = init_model(ArchSpec((10, 8, 5, 4)), seed=1)
+    swapped = replace_head(base, 3, seed=7)
+    fresh = init_model(ArchSpec((5, 3)), seed=7)
+    assert swapped.weights[-1].tobytes() == fresh.weights[0].tobytes()
+    assert swapped.biases[-1].tobytes() == fresh.biases[0].tobytes()
+
+
 def test_replace_head_deterministic_in_seed():
     base = init_model(ArchSpec((6, 5, 4)), seed=1)
     a = replace_head(base, 2, seed=3)
