@@ -128,10 +128,11 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise FormatError(f"vocabulary file {path}: expected version 1")
     try:
-        entries = tuple((str(t), int(df)) for t, df in doc["entries"])
-        return Vocabulary(
-            entries=entries, corpus_docs=int(doc["corpus_docs"]), max_size=int(doc["max_size"])
-        )
+        entries = tuple((t, df) for t, df in doc["entries"])
+        counts = (doc["corpus_docs"], doc["max_size"], *(df for _, df in entries))
+        if any(type(t) is not str for t, _ in entries) or any(type(c) is not int for c in counts):
+            raise TypeError("tokens must be strings, and counts and sizes integers")
+        return Vocabulary(entries=entries, corpus_docs=counts[0], max_size=counts[1])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"vocabulary file {path}: malformed entries ({exc})") from exc
 
@@ -154,7 +155,7 @@ def save_matrix(
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<III", MATRIX_VERSION, n, cols))
-        fh.write(rows.tobytes())
+        fh.write(rows)
         for nation, family in zip(nations, families):
             for label in (nation, family):
                 raw = (label or "").encode("utf-8")
@@ -169,6 +170,14 @@ def _read_exact(fh, where: str, count: int, what: str) -> bytes:
     if len(raw) != count:
         raise FormatError(f"{where}: truncated {what}")
     return raw
+
+
+def _read_array(fh, where: str, shape: tuple, dtype: str, what: str) -> np.ndarray:
+    """Read exactly the bytes of one C-order array straight into a new array."""
+    array = np.empty(shape, dtype=dtype)
+    if fh.readinto(array) != array.nbytes:
+        raise FormatError(f"{where}: truncated {what}")
+    return array
 
 
 def _read_header(fh, where: str, magic: bytes, version: int, fmt: str) -> tuple:
@@ -202,13 +211,15 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str | None], list[st
     with open(path, "rb") as fh:
         n, cols = _read_header(fh, where, MATRIX_MAGIC, MATRIX_VERSION, "II")
         _check_remaining(fh, where, n * cols + 4 * n, f"{n}x{cols} cells and {n} label pairs")
-        body = _read_exact(fh, where, n * cols, "matrix body")
-        rows = np.frombuffer(body, dtype=np.uint8).reshape(n, cols).copy()
-        if rows.size and not np.isin(rows, (0, 1)).all():
+        rows = _read_array(fh, where, (n, cols), "u1", "matrix body")
+        if rows.size and rows.max() > 1:
             raise FormatError(f"{where}: cell values must be 0 or 1")
         labels: list[str | None] = []
-        for _ in range(2 * n):
-            (length,) = struct.unpack("<H", _read_exact(fh, where, 2, "labels"))
-            labels.append(_read_exact(fh, where, length, "labels").decode("utf-8") or None)
+        try:
+            for _ in range(2 * n):
+                (length,) = struct.unpack("<H", _read_exact(fh, where, 2, "labels"))
+                labels.append(_read_exact(fh, where, length, "labels").decode("utf-8") or None)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{where}: label is not UTF-8 ({exc})") from exc
         _check_end(fh, where)
     return rows, labels[0::2], labels[1::2]

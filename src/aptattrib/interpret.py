@@ -13,6 +13,8 @@ its memory is P plus that kernel.
 
 from __future__ import annotations
 
+import csv
+import html
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -353,10 +355,12 @@ def importance_csv(ranking: ImportanceRanking, top: int | None = None) -> str:
 
 
 def export_embedding_csv(embedding: Embedding2D, path: str | Path) -> None:
-    lines = ["id,label,x,y"]
-    for i, (point, label) in enumerate(zip(embedding.points, embedding.labels)):
-        lines.append(f"{i},{label or ''},{float(point[0])!r},{float(point[1])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write id,label,x,y rows, quoted as csv needs; an unlabeled sample's label is empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label", "x", "y"])
+        for i, (point, label) in enumerate(zip(embedding.points, embedding.labels)):
+            writer.writerow([i, label, float(point[0]), float(point[1])])
 
 
 def _scale_axis(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -396,7 +400,7 @@ def export_scatter_svg(embedding: Embedding2D, path: str | Path) -> None:
         parts.append(f'<rect x="{SVG_MARGIN}" y="{ly}" width="10" height="10" fill="{color}"/>')
         parts.append(
             f'<text x="{SVG_MARGIN + 14}" y="{ly + 9}" font-family="sans-serif" '
-            f'font-size="12">{label or "(unlabeled)"}</text>'
+            f'font-size="12">{html.escape(label or "(unlabeled)")}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

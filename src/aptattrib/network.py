@@ -19,6 +19,10 @@ new head from it and gradient_check widens its weights to float64. Its draws,
 like interpret's blocked work, run in row blocks of at most BLOCK_BYTES.
 Model files are read with the same strict checks as feature-matrix files
 (magic, version, sizes against the file, exact reads, no trailing bytes).
+Each array is read straight into a new array and written from its own
+buffer, so loading or saving a model makes no second copy of its weights. A
+model may hold read-only arrays (transfer.replace_head's shared trunk), and
+training writes only its trainable layers.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .featurize import FormatError, _check_end, _check_remaining, _read_exact, _read_header
+from .featurize import FormatError, _check_end, _check_remaining, _read_array, _read_header
 
 MODEL_MAGIC = b"APTM"
 MODEL_VERSION = 1
@@ -535,8 +539,8 @@ def save_model(model: MlpModel, path: str | Path) -> None:
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
         fh.write(struct.pack(f"<{len(model.trainable)}B", *map(int, model.trainable)))
         for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(w, dtype="<f4"))
+            fh.write(np.ascontiguousarray(b, dtype="<f4"))
 
 
 def load_model(path: str | Path) -> MlpModel:
@@ -545,19 +549,16 @@ def load_model(path: str | Path) -> MlpModel:
         (n_layers,) = _read_header(fh, where, MODEL_MAGIC, MODEL_VERSION, "H")
         if n_layers < 2:
             raise FormatError(f"{where}: needs >= 2 node-layers, got {n_layers}")
-        raw = _read_exact(fh, where, 4 * n_layers, "layer sizes")
-        sizes = struct.unpack(f"<{n_layers}I", raw)
-        flags = _read_exact(fh, where, n_layers - 1, "trainable flags")
+        sizes = tuple(_read_array(fh, where, (n_layers,), "<u4", "layer sizes").tolist())
+        flags = _read_array(fh, where, (n_layers - 1,), "u1", "trainable flags")
         shapes = list(zip(sizes, sizes[1:]))
         need = sum(4 * (fan_in + 1) * fan_out for fan_in, fan_out in shapes)
         _check_remaining(fh, where, need, f"layer sizes {sizes}")
         weights = []
         biases = []
         for shape in shapes:
-            raw = _read_exact(fh, where, 4 * shape[0] * shape[1], "weights")
-            weights.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
-            raw = _read_exact(fh, where, 4 * shape[1], "biases")
-            biases.append(np.frombuffer(raw, dtype="<f4").copy())
+            weights.append(_read_array(fh, where, shape, "<f4", "weights"))
+            biases.append(_read_array(fh, where, shape[1:], "<f4", "biases"))
         _check_end(fh, where)
     return MlpModel(
         arch=ArchSpec(sizes),

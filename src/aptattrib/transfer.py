@@ -2,8 +2,11 @@
 
 A model trained on a source task keeps its trunk (every weighted layer but
 the last); the head is re-initialized for the target task's class count and
-is the only part that trains. The trunk stays byte-identical throughout, so
-transfer results are directly attributable to the learned representation.
+is the only part that trains. The trunk is not copied: the new model's trunk
+arrays are read-only views of the source model's, so it stays byte-identical
+throughout and transfer results are directly attributable to the learned
+representation. A stray in-place write to it raises instead of reaching the
+source model.
 """
 
 from __future__ import annotations
@@ -13,12 +16,19 @@ import numpy as np
 from .network import ArchSpec, MlpModel, TrainConfig, TrainReport, init_model, train
 
 
-def replace_head(model: MlpModel, new_classes: int, seed: int) -> MlpModel:
-    """Return a copy with a freshly initialized final layer sized for new_classes.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
-    Trunk weights, biases, and trainable flags are copied unchanged; the new
-    head is init_model's single layer for (fan_in, new_classes) under seed,
-    and is trainable.
+
+def replace_head(model: MlpModel, new_classes: int, seed: int) -> MlpModel:
+    """Return a model on model's frozen trunk with a fresh final layer for new_classes.
+
+    Trunk weights and biases are read-only views sharing memory with model's
+    arrays, and the trunk layers are flagged non-trainable; the new head is
+    init_model's single layer for (fan_in, new_classes) under seed, and is
+    trainable. Saving the result and loading it back gives writable arrays.
     """
     if new_classes < 1:
         raise ValueError(f"new_classes must be >= 1, got {new_classes}")
@@ -27,18 +37,10 @@ def replace_head(model: MlpModel, new_classes: int, seed: int) -> MlpModel:
     head = init_model(ArchSpec((model.arch.layer_sizes[-2], new_classes)), seed)
     return MlpModel(
         arch=ArchSpec((*model.arch.layer_sizes[:-1], new_classes)),
-        weights=[w.copy() for w in model.weights[:-1]] + head.weights,
-        biases=[b.copy() for b in model.biases[:-1]] + head.biases,
-        trainable=list(model.trainable[:-1]) + [True],
+        weights=[_read_only(w) for w in model.weights[:-1]] + head.weights,
+        biases=[_read_only(b) for b in model.biases[:-1]] + head.biases,
+        trainable=[False] * (len(model.weights) - 1) + [True],
     )
-
-
-def freeze_trunk(model: MlpModel) -> MlpModel:
-    """Mark every weighted layer except the last as non-trainable, in place."""
-    for l in range(len(model.trainable) - 1):
-        model.trainable[l] = False
-    model.trainable[-1] = True
-    return model
 
 
 def transfer_train(
@@ -48,14 +50,12 @@ def transfer_train(
     train_y: np.ndarray,
     config: TrainConfig,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
-    head_seed: int | None = None,
 ) -> tuple[MlpModel, TrainReport]:
-    """Swap the head for new_classes, freeze the trunk, and train the head.
+    """Put a head for new_classes, drawn under config.seed, on base's trunk and train it.
 
-    head_seed defaults to config.seed. The returned model's trunk is
-    byte-identical to the base model's trunk.
+    The returned model shares base's trunk arrays (see replace_head), which
+    training leaves byte-identical.
     """
-    seed = config.seed if head_seed is None else head_seed
-    model = freeze_trunk(replace_head(base, new_classes, seed))
+    model = replace_head(base, new_classes, config.seed)
     report = train(model, train_x, train_y, config, validation=validation)
     return model, report

@@ -205,16 +205,13 @@ def test_criterion_4_held_out_family_attribution(direct_model, capsys):
 def test_criterion_5_transfer_learning(dataset, family_model, direct_model, capsys):
     base, _, _ = family_model
     _, direct_acc, _ = direct_model
+    trunk = [a.tobytes() for a in base.weights[:-1] + base.biases[:-1]]
     t0 = time.monotonic()
     cfg = TrainConfig(lr_init=1e-2, lr_final=1e-4, epochs=50, seed=33)
     model, _ = transfer_train(base, 2, dataset.xtr, dataset.ytr_n, cfg)
     accuracy = evaluate(model, dataset.xte, dataset.yte_n).accuracy
     elapsed = time.monotonic() - t0
-    trunk_intact = all(
-        model.weights[l].tobytes() == base.weights[l].tobytes()
-        and model.biases[l].tobytes() == base.biases[l].tobytes()
-        for l in range(len(base.weights) - 1)
-    )
+    trunk_intact = [a.tobytes() for a in model.weights[:-1] + model.biases[:-1]] == trunk
     ok = accuracy >= direct_acc - 0.05 and trunk_intact and elapsed < 120.0
     _verdict(
         capsys, 5, ok,

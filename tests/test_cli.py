@@ -9,7 +9,7 @@ import pytest
 from aptattrib import cli
 from aptattrib.cli import derive_seed, load_config, main
 from aptattrib.corpus import SynthSpec
-from aptattrib.featurize import load_matrix, load_vocabulary
+from aptattrib.featurize import load_matrix, load_vocabulary, save_matrix
 from aptattrib.interpret import TsneConfig
 from aptattrib.network import ArchSpec, TrainConfig, init_model, load_model, save_model
 
@@ -267,6 +267,35 @@ def test_oversized_header_exits_2(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
     assert main(["train", "--matrix", str(matrix), "--model-out", str(tmp_path / "m")]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"entries": [[None, 3], [7, True], ["ok", 2.9]]},
+        {"entries": [["ok", 2.0]]},
+        {"corpus_docs": True},
+        {"max_size": 5.0},
+    ],
+)
+def test_vocabulary_value_types_exit_2(tmp_path, capsys, override):
+    doc = {"version": 1, "corpus_docs": 4, "max_size": 5, "entries": [["a", 2]], **override}
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(doc))
+    model = tmp_path / "m.model"
+    save_model(init_model(ArchSpec((len(doc["entries"]), 2)), seed=0), model)
+    assert main(["importance", "--model", str(model), "--vocab", str(vocab)]) == 2
+    assert f"vocabulary file {vocab}" in capsys.readouterr().err
+
+
+def test_matrix_label_not_utf8_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "x.bin"
+    save_matrix(matrix, np.ones((1, 2), dtype=np.uint8), ["ab"], ["cd"])
+    matrix.write_bytes(matrix.read_bytes().replace(b"ab", b"\xff\xfe"))
+    model = tmp_path / "m.model"
+    save_model(init_model(ArchSpec((2, 1)), seed=0), model)
+    assert main(["eval", "--model", str(model), "--matrix", str(matrix)]) == 2
+    assert f"feature-matrix file {matrix}: label is not UTF-8" in capsys.readouterr().err
 
 
 def test_embed_too_few_points_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import itertools
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -443,6 +445,30 @@ def test_export_embedding_csv(tmp_path):
     assert len(lines) == 5
     assert lines[1] == "0,a,0.0,0.0"
     assert lines[4].startswith("3,,")
+
+
+def _awkward_embedding():
+    points = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0], [0.5, 0.5]])
+    return Embedding2D(points=points, labels=("A&B", "<x>", '"q"', "x,y\nz"), kl_trace=[0.5])
+
+
+def test_export_embedding_csv_keeps_each_label_one_field(tmp_path):
+    path = tmp_path / "e.csv"
+    embedding = _awkward_embedding()
+    export_embedding_csv(embedding, path)
+    rows = list(csv.reader(path.open(newline="")))
+    assert rows[0] == ["id", "label", "x", "y"]
+    assert [r[1] for r in rows[1:]] == list(embedding.labels)
+    assert [[float(r[2]), float(r[3])] for r in rows[1:]] == embedding.points.tolist()
+
+
+def test_export_scatter_svg_escapes_labels(tmp_path):
+    path = tmp_path / "e.svg"
+    embedding = _awkward_embedding()
+    export_scatter_svg(embedding, path)
+    root = ET.parse(path).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == sorted(embedding.labels)
 
 
 def test_export_scatter_svg_structure(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -646,6 +648,24 @@ def test_model_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "again.model"
     save_model(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _peak_traced_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_io_holds_no_second_copy(tmp_path):
+    m = init_model(ArchSpec((4000, 256, 64, 4)), seed=0)
+    path = tmp_path / "m.model"
+    save_model(m, path)
+    size = path.stat().st_size
+    assert _peak_traced_bytes(load_model, path) <= 1.1 * size
+    assert _peak_traced_bytes(save_model, m, path) <= 0.1 * size
 
 
 def test_model_file_header(tmp_path):

@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from aptattrib.network import ArchSpec, TrainConfig, evaluate, init_model, train_step
-from aptattrib.transfer import freeze_trunk, replace_head, transfer_train
+from aptattrib.network import (
+    ArchSpec,
+    TrainConfig,
+    evaluate,
+    init_model,
+    load_model,
+    save_model,
+    train_step,
+)
+from aptattrib.transfer import replace_head, transfer_train
 
 
 def _trunk_bytes(model):
@@ -48,9 +58,37 @@ def test_replace_head_deterministic_in_seed():
 
 def test_replace_head_is_independent_copy():
     base = init_model(ArchSpec((6, 5, 4)), seed=1)
+    before = _trunk_bytes(base)
     swapped = replace_head(base, 2, seed=3)
-    swapped.weights[0][0, 0] += 1.0
-    assert base.weights[0][0, 0] != swapped.weights[0][0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        swapped.weights[0][0, 0] += 1.0
+    assert _trunk_bytes(base) == before
+
+
+def test_replace_head_shares_a_read_only_trunk():
+    base = init_model(ArchSpec((8, 7, 6, 5, 4)), seed=1)
+    swapped = replace_head(base, 2, seed=3)
+    assert swapped.trainable == [False, False, False, True]
+    trunk = zip(swapped.weights[:-1] + swapped.biases[:-1], base.weights[:-1] + base.biases[:-1])
+    for mine, theirs in trunk:
+        assert np.shares_memory(mine, theirs)
+        assert not mine.flags.writeable
+        with pytest.raises(ValueError):
+            mine += 1.0
+    assert base.weights[0].flags.writeable
+    assert swapped.weights[-1].flags.writeable and swapped.biases[-1].flags.writeable
+
+
+def test_replace_head_allocates_no_trunk():
+    base = init_model(ArchSpec((4000, 256, 64, 4)), seed=1)
+    size = sum(w.nbytes + b.nbytes for w, b in zip(base.weights, base.biases))
+    tracemalloc.start()
+    try:
+        replace_head(base, 2, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * size
 
 
 def test_replace_head_rejects_single_matrix_model():
@@ -65,27 +103,8 @@ def test_replace_head_rejects_bad_class_count():
         replace_head(base, 0, seed=0)
 
 
-def test_freeze_trunk_flags():
-    m = init_model(ArchSpec((8, 7, 6, 5, 4)), seed=0)
-    freeze_trunk(m)
-    assert m.trainable == [False, False, False, True]
-
-
-def test_freeze_trunk_single_matrix():
-    m = init_model(ArchSpec((5, 2)), seed=0)
-    freeze_trunk(m)
-    assert m.trainable == [True]
-
-
-def test_freeze_trunk_idempotent():
-    m = init_model(ArchSpec((8, 7, 6)), seed=0)
-    once = list(freeze_trunk(m).trainable)
-    twice = list(freeze_trunk(m).trainable)
-    assert once == twice == [False, True]
-
-
 def test_frozen_head_moves_when_gradient_nonzero():
-    m = freeze_trunk(replace_head(init_model(ArchSpec((6, 5, 4)), seed=1), 2, seed=2))
+    m = replace_head(init_model(ArchSpec((6, 5, 4)), seed=1), 2, seed=2)
     head_before = m.weights[-1].tobytes()
     trunk_before = _trunk_bytes(m)
     train_step(m, np.ones((2, 6)), np.array([0, 1]), lr=0.1)
@@ -105,10 +124,12 @@ def test_transfer_train_trunk_byte_identity():
     rng = np.random.default_rng(0)
     x, y = _toy_task(rng)
     base = init_model(ArchSpec((8, 6, 4, 3)), seed=5)
+    before = _trunk_bytes(base)
     cfg = TrainConfig(epochs=10, lr_final=1e-3, seed=6, dropout_rate=0.0, input_noise_rate=0.0)
     model, report = transfer_train(base, 2, x, y, cfg)
     assert model.arch.layer_sizes == (8, 6, 4, 2)
-    assert _trunk_bytes(model) == _trunk_bytes(base)
+    assert _trunk_bytes(model) == _trunk_bytes(base) == before
+    assert np.shares_memory(model.weights[0], base.weights[0])
     assert model.trainable == [False, False, True]
     assert len(report.records) == 10
 
@@ -122,14 +143,17 @@ def test_transfer_train_zero_epochs_keeps_fresh_head():
     assert report.records == []
 
 
-def test_transfer_train_head_seed_override():
-    base = init_model(ArchSpec((8, 6, 4)), seed=5)
-    cfg = TrainConfig(epochs=0, seed=6)
-    model, _ = transfer_train(
-        base, 2, np.ones((4, 8)), np.array([0, 1, 0, 1]), cfg, head_seed=99
-    )
-    fresh = replace_head(base, 2, seed=99)
-    assert model.weights[-1].tobytes() == fresh.weights[-1].tobytes()
+def test_saved_transferred_model_loads_writable(tmp_path):
+    base = init_model(ArchSpec((8, 6, 4, 3)), seed=5)
+    cfg = TrainConfig(epochs=1)
+    model, _ = transfer_train(base, 2, np.ones((4, 8)), np.array([0, 1, 0, 1]), cfg)
+    assert not model.weights[0].flags.writeable
+    path = tmp_path / "nation.model"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.trainable == [False, False, True]
+    assert _trunk_bytes(back) == _trunk_bytes(model)
+    assert all(a.flags.writeable for a in back.weights + back.biases)
 
 
 def test_transfer_learns_head_only_task():
