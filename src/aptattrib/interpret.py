@@ -355,12 +355,19 @@ def importance_csv(ranking: ImportanceRanking, top: int | None = None) -> str:
 
 
 def export_embedding_csv(embedding: Embedding2D, path: str | Path) -> None:
-    """Write id,label,x,y rows, quoted as csv needs; an unlabeled sample's label is empty."""
+    """Write id,label,x,y rows, quoted as csv needs; an unlabeled sample's label is empty.
+
+    With a newline line terminator, csv quotes a newline but not a bare
+    carriage return, which csv.reader then rejects, so a row whose label holds
+    a carriage return is written with its label (not its numbers) quoted.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(["id", "label", "x", "y"])
         for i, (point, label) in enumerate(zip(embedding.points, embedding.labels)):
-            writer.writerow([i, label, float(point[0]), float(point[1])])
+            row = [i, label, float(point[0]), float(point[1])]
+            (quoted if label and "\r" in label else writer).writerow(row)
 
 
 def _scale_axis(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

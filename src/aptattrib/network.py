@@ -6,13 +6,16 @@ descent on softmax cross-entropy with inverted dropout on hidden layers,
 zeroing noise on the input layer, and a geometric learning-rate decay.
 Weights live in float32; gradient checking runs a float64 path.
 
-The binary inputs are sparse, so layer 0 works on the columns a batch sets:
-when at most half of the input columns are nonzero after input noise, it
-gathers those rows of W0, multiplies and differentiates them alone, and a
-train step updates the gathered rows and scatters them back. Untouched rows
-get exactly zero gradient either way. Denser batches use the dense matmul.
-The two paths differ only in float32 summation order. Backprop stops at the
-lowest trainable layer.
+The binary inputs are sparse, so layer 0 has a row-sparse path. When W0
+spans more than one row block and at most SPARSE_MAX_DENSITY of a batch's
+cells are set after input noise, each row's pre-activation is built from its
+own set columns alone, row[idx] @ W0[idx], so rows of W0 that a row does not
+set are never read. Every other batch takes the dense x @ W0. The layer-0
+weight gradient is never formed whole: a train step updates W0 in row blocks
+of at most BLOCK_BYTES, over the batch's set columns on the sparse path or
+all rows on the dense one, and rows outside those columns are left as they
+are. The two paths differ only in float32 summation order. Backprop stops at
+the lowest trainable layer.
 
 init_model is the one place weights are drawn: transfer.replace_head takes a
 new head from it and gradient_check widens its weights to float64. Its draws,
@@ -45,6 +48,10 @@ PROB_FLOOR = 1e-12
 # bits, follows the block size, which is why it is fixed here and not derived
 # from the machine. The init bytes do not depend on it.
 BLOCK_BYTES = 1 << 19
+# Largest share of set cells at which layer 0 goes row by row. With one BLAS
+# thread and a 20000x2000 W0, the per-row path beats the dense matmul below
+# about 2.5% density on 320-row batches and below about 5% on 32-row ones.
+SPARSE_MAX_DENSITY = 1 / 40
 
 # Hidden widths of the default architecture; attribution nets end in 2
 # classes, family nets in 4.
@@ -190,20 +197,40 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _layer0(w0: np.ndarray, b0: np.ndarray, x: np.ndarray):
-    """Layer-0 pre-activation; returns (z, x_used, cols, w_used).
+def _row_sparse(w0: np.ndarray, x: np.ndarray) -> bool:
+    """Whether _layer0 takes the row-sparse path for this W0 and batch."""
+    return w0.nbytes > BLOCK_BYTES and np.count_nonzero(x) <= SPARSE_MAX_DENSITY * x.size
 
-    When the batch sets at most half of the input columns, only those columns
-    take part: cols are their indices, x_used = x[:, cols] and w_used is the
-    gathered copy w0[cols]. Otherwise cols is None and x_used, w_used are x
-    and w0 themselves. Rows of w0 outside cols meet only zero inputs, so they
-    add nothing to z and get zero gradient.
+
+def _layer0(w0: np.ndarray, b0: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Layer-0 pre-activation; returns (z, sparse).
+
+    On the row-sparse path (sparse is True, see _row_sparse) each row is
+    multiplied by the rows of w0 at its nonzero columns only; the values need
+    not be binary. Otherwise z is the dense x @ w0 + b0.
     """
-    cols = np.flatnonzero(x.any(axis=0))
-    if 2 * cols.size > x.shape[1]:
-        return x @ w0 + b0, x, None, w0
-    x_used, w_used = x[:, cols], w0[cols]
-    return x_used @ w_used + b0, x_used, cols, w_used
+    if not _row_sparse(w0, x):
+        return x @ w0 + b0, False
+    z = np.empty((x.shape[0], w0.shape[1]), dtype=np.result_type(x, w0))
+    for i, row in enumerate(x):
+        idx = np.flatnonzero(row)
+        np.matmul(row[idx], w0[idx], out=z[i])
+    z += b0
+    return z, True
+
+
+def _w0_grad_blocks(x: np.ndarray, dz: np.ndarray, sparse: bool):
+    """Yield (rows, gradient of those W0 rows) in blocks of at most BLOCK_BYTES.
+
+    x is layer 0's post-noise input and dz its pre-activation gradient. The
+    blocks cover the columns x sets on the sparse path and all rows on the
+    dense one; every other row's gradient is exactly zero.
+    """
+    cols = np.flatnonzero(x.any(axis=0)) if sparse else None
+    n_rows = x.shape[1] if cols is None else cols.size
+    for s in _row_blocks(n_rows, dz.itemsize * dz.shape[1]):
+        rows = s if cols is None else cols[s]
+        yield rows, x[:, rows].T @ dz
 
 
 def _forward_pass(
@@ -218,17 +245,17 @@ def _forward_pass(
 ):
     """Batched forward pass; returns (activations per node-layer, caches).
 
-    caches[0] is layer 0's (x_used, cols, w_used) from _layer0, taken after
-    input noise. caches[l] for each hidden node-layer l is (pre-dropout ReLU
+    caches[0] is layer 0's (post-noise input, sparse) with sparse the path
+    _layer0 took. caches[l] for each hidden node-layer l is (pre-dropout ReLU
     output, dropout multiplier or None); the multipliers are what backprop
     needs to route gradients through inverted dropout.
     """
     a = a0
     if train and input_noise_rate > 0.0:
         a = a * (rng.random(a.shape) >= input_noise_rate)
-    z, x_used, cols, w_used = _layer0(weights[0], biases[0], a)
+    z, sparse = _layer0(weights[0], biases[0], a)
     acts = [a]
-    caches = [(x_used, cols, w_used)]
+    caches = [(a, sparse)]
     for l in range(1, len(weights)):
         h = np.maximum(z, 0.0)
         mult = None
@@ -253,10 +280,12 @@ def _backward_pass(
     labels: np.ndarray,
     lowest: int = 0,
 ):
-    """Gradients of mean cross-entropy wrt the weight matrices and biases of layers >= lowest.
+    """Gradients of mean cross-entropy for layers >= lowest; returns (grads_w, grads_b, dz).
 
-    Entries below lowest are None, and nothing below it is computed. The
-    layer-0 weight gradient covers the rows w_used covers (see _layer0).
+    Entries below lowest are None, and nothing below it is computed. dz is
+    the pre-activation gradient of layer lowest. The layer-0 weight gradient
+    is not formed, so grads_w[0] is None: _w0_grad_blocks builds it from dz
+    in row blocks.
     """
     probs = acts[-1]
     batch = probs.shape[0]
@@ -266,7 +295,8 @@ def _backward_pass(
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
     for l in range(len(weights) - 1, lowest - 1, -1):
-        grads_w[l] = (acts[l] if l else caches[0][0]).T @ dz
+        if l:
+            grads_w[l] = acts[l].T @ dz
         grads_b[l] = dz.sum(axis=0)
         if l > lowest:
             da = dz @ weights[l].T
@@ -274,7 +304,7 @@ def _backward_pass(
             if mult is not None:
                 da = da * mult
             dz = da * (h > 0)
-    return grads_w, grads_b
+    return grads_w, grads_b, dz
 
 
 def _as_batch(model: MlpModel, x: np.ndarray, dtype=np.float32) -> tuple[np.ndarray, bool]:
@@ -355,8 +385,9 @@ def train_step(
     """One gradient-descent step on a mini-batch; returns the mean batch loss.
 
     Only layers flagged trainable are updated (biases move with their layer),
-    and backprop stops at the lowest of them. A compacted layer 0 (see
-    _layer0) is updated in its gathered rows, which are then scattered back.
+    and backprop stops at the lowest of them. A trainable W0 is updated in
+    row blocks of at most BLOCK_BYTES (see _w0_grad_blocks), so the step holds
+    neither a gathered copy of W0 nor its full-size gradient.
     """
     x, _ = _as_batch(model, batch_x)
     if x.shape[0] == 0:
@@ -383,16 +414,20 @@ def train_step(
     trainable = [l for l, flag in enumerate(model.trainable) if flag]
     if lr == 0.0 or not trainable:
         return loss
-    grads_w, grads_b = _backward_pass(model.weights, acts, caches, y, lowest=trainable[0])
-    _, cols, w0_used = caches[0]
+    grads_w, grads_b, dz = _backward_pass(model.weights, acts, caches, y, lowest=trainable[0])
     lr32 = np.float32(lr)
     for l in trainable:
-        w = w0_used if l == 0 else model.weights[l]
-        for param, grad in ((w, grads_w[l]), (model.biases[l], grads_b[l])):
-            np.multiply(grad, lr32, out=grad)
-            param -= grad
-    if cols is not None and model.trainable[0]:
-        model.weights[0][cols] = w0_used
+        if l:
+            np.multiply(grads_w[l], lr32, out=grads_w[l])
+            model.weights[l] -= grads_w[l]
+        np.multiply(grads_b[l], lr32, out=grads_b[l])
+        model.biases[l] -= grads_b[l]
+    if model.trainable[0]:
+        w0 = model.weights[0]
+        x0, sparse = caches[0]
+        for rows, g in _w0_grad_blocks(x0, dz, sparse):
+            g *= lr32
+            w0[rows] -= g
     return loss
 
 
@@ -504,12 +539,11 @@ def gradient_check(
         return float(-np.log(max(acts[-1][0, label], PROB_FLOOR)))
 
     acts, caches = _forward_pass(weights, biases, x)
-    grads_w, grads_b = _backward_pass(weights, acts, caches, y)
-    _, cols, _ = caches[0]
-    if cols is not None:
-        full = np.zeros_like(weights[0])
-        full[cols] = grads_w[0]
-        grads_w[0] = full
+    grads_w, grads_b, dz = _backward_pass(weights, acts, caches, y)
+    grads_w[0] = np.zeros_like(weights[0])
+    x0, sparse = caches[0]
+    for rows, g in _w0_grad_blocks(x0, dz, sparse):
+        grads_w[0][rows] = g
 
     max_rel = 0.0
     for params, grads in ((weights, grads_w), (biases, grads_b)):

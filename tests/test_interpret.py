@@ -462,6 +462,22 @@ def test_export_embedding_csv_keeps_each_label_one_field(tmp_path):
     assert [[float(r[2]), float(r[3])] for r in rows[1:]] == embedding.points.tolist()
 
 
+def test_export_embedding_csv_quotes_a_bare_carriage_return(tmp_path):
+    plain = _awkward_embedding()
+    embedding = Embedding2D(
+        points=np.vstack([plain.points, [[3.0, -0.25]]]),
+        labels=(*plain.labels, "a\rb"),
+        kl_trace=[0.5],
+    )
+    export_embedding_csv(plain, tmp_path / "plain.csv")
+    export_embedding_csv(embedding, tmp_path / "e.csv")
+    rows = list(csv.reader((tmp_path / "e.csv").open(newline="")))
+    assert [r[1] for r in rows[1:]] == list(embedding.labels)
+    assert [[float(r[2]), float(r[3])] for r in rows[1:]] == embedding.points.tolist()
+    written = (tmp_path / "e.csv").read_bytes()
+    assert written == (tmp_path / "plain.csv").read_bytes() + b'4,"a\rb",3.0,-0.25\n'
+
+
 def test_export_scatter_svg_escapes_labels(tmp_path):
     path = tmp_path / "e.svg"
     embedding = _awkward_embedding()

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aptattrib import network
 from aptattrib.corpus import SynthSpec, generate_synthetic_corpus
 from aptattrib.featurize import build_vocabulary, encode_labels, vectorize_corpus
 from aptattrib.network import (
@@ -14,6 +15,7 @@ from aptattrib.network import (
     _backward_pass,
     _forward_pass,
     _layer0,
+    _w0_grad_blocks,
     default_arch,
     evaluate,
     forward,
@@ -318,16 +320,24 @@ def test_train_step_requires_rng_for_stochastic_regularizers():
         train_step(m, np.ones((1, 4)), np.array([0]), lr=0.1, dropout_rate=0.5)
 
 
+def _full_w0_grad(w0, caches, dz):
+    """Assemble the whole layer-0 weight gradient from _w0_grad_blocks."""
+    full = np.zeros_like(w0)
+    for rows, g in _w0_grad_blocks(caches[0][0], dz, caches[0][1]):
+        full[rows] = g
+    return full
+
+
 def test_zero_weights_zero_input_give_zero_weight_gradients():
     weights = [np.zeros((3, 2)), np.zeros((2, 2))]
     biases = [np.zeros(2), np.zeros(2)]
     acts, caches = _forward_pass(weights, biases, np.zeros((1, 3)))
-    grads_w, _ = _backward_pass(weights, acts, caches, np.array([0]))
-    assert not grads_w[0].any()
+    grads_w, _, dz = _backward_pass(weights, acts, caches, np.array([0]))
+    assert not _full_w0_grad(weights[0], caches, dz).any()
     assert not grads_w[1].any()
 
 
-# --- compacted layer 0 against the dense reference ---
+# --- row-sparse layer 0 against the dense reference ---
 
 
 def _dense_reference_step(model, x, y, lr, rng, dropout_rate, input_noise_rate):
@@ -380,22 +390,33 @@ def _sparse_batch(rng, rows, cols, density):
     return (rng.random((rows, cols)) < density).astype(np.float32)
 
 
+# A 3000-48-8-3 net: W0 is 576,000 bytes, more than one BLOCK_BYTES row block,
+# so the row-sparse path is reachable and the dense update runs in two blocks.
+_L0_ARCH = ArchSpec((3000, 48, 8, 3))
 _L0_RNG = np.random.default_rng(17)
 _L0_CASES = {
-    "sparse": (_sparse_batch(_L0_RNG, 8, 60, 0.05), True),
-    "all-zero row": (np.vstack([_sparse_batch(_L0_RNG, 5, 60, 0.05), np.zeros((1, 60))]), True),
-    "every column": (np.vstack([np.eye(60), _sparse_batch(_L0_RNG, 3, 60, 0.3)]), False),
-    "frozen layer 0": (_sparse_batch(_L0_RNG, 8, 60, 0.05), True),
-    "one row": (_sparse_batch(_L0_RNG, 1, 60, 0.1), True),
+    "sparse": (_sparse_batch(_L0_RNG, 8, 3000, 0.015), True),
+    "all-zero row": (
+        np.vstack([_sparse_batch(_L0_RNG, 5, 3000, 0.015), np.zeros((1, 3000))]),
+        True,
+    ),
+    "every column": (
+        np.vstack([np.ones((1, 3000)), _sparse_batch(_L0_RNG, 3, 3000, 0.3)]),
+        False,
+    ),
+    "frozen layer 0": (_sparse_batch(_L0_RNG, 8, 3000, 0.015), True),
+    "one row": (_sparse_batch(_L0_RNG, 1, 3000, 0.015), True),
+    "non-binary": (0.5 * _sparse_batch(_L0_RNG, 8, 3000, 0.015), True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_L0_CASES))
 def test_layer0_matches_dense_reference(case):
-    x, compact = _L0_CASES[case]
+    x, sparse = _L0_CASES[case]
     x = x.astype(np.float32)
     y = np.arange(len(x)) % 3
-    model = init_model(ArchSpec((60, 12, 8, 3)), seed=4)
+    model = init_model(_L0_ARCH, seed=4)
+    assert model.weights[0].nbytes > BLOCK_BYTES
     model.biases = [np.full_like(b, 0.05) for b in model.biases]
     if case == "frozen layer 0":
         model.trainable[0] = False
@@ -407,15 +428,11 @@ def test_layer0_matches_dense_reference(case):
     acts, caches = _forward_pass(
         model.weights, model.biases, x, train=True, rng=np.random.default_rng(9), **regs
     )
-    _, cols, _ = caches[0]
-    assert (cols is not None) == compact
+    assert caches[0][1] == sparse
     for a, ref in zip(acts, ref_acts):
         _assert_rel_close(a, ref)
-    grads_w, grads_b = _backward_pass(model.weights, acts, caches, y)
-    if cols is not None:
-        full = np.zeros_like(model.weights[0])
-        full[cols] = grads_w[0]
-        grads_w[0] = full
+    grads_w, grads_b, dz = _backward_pass(model.weights, acts, caches, y)
+    grads_w[0] = _full_w0_grad(model.weights[0], caches, dz)
     for g, ref in zip(grads_w + grads_b, ref_gw + ref_gb):
         _assert_rel_close(g, ref)
 
@@ -423,21 +440,38 @@ def test_layer0_matches_dense_reference(case):
     train_step(stepped, x, y, 0.1, rng=np.random.default_rng(9), **regs)
     for w, ref in zip(stepped.weights + stepped.biases, ref_model.weights + ref_model.biases):
         _assert_rel_close(w, ref)
-    if cols is not None:
-        untouched = np.setdiff1d(np.arange(60), cols)
-        assert stepped.weights[0][untouched].tobytes() == model.weights[0][untouched].tobytes()
+    unset = ~caches[0][0].any(axis=0)
+    assert unset.any()
+    assert stepped.weights[0][unset].tobytes() == model.weights[0][unset].tobytes()
     if case == "frozen layer 0":
         assert stepped.weights[0].tobytes() == model.weights[0].tobytes()
         assert stepped.biases[0].tobytes() == model.biases[0].tobytes()
 
 
-def test_layer0_compacts_at_most_half_the_columns():
-    w0, b0 = np.ones((4, 2), dtype=np.float32), np.zeros(2, dtype=np.float32)
-    half = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.float32)
-    _, x_used, cols, w_used = _layer0(w0, b0, half)
-    assert cols.tolist() == [0, 1] and x_used.shape == (2, 2) and w_used.shape == (2, 2)
-    _, x_used, cols, w_used = _layer0(w0, b0, np.array([[0, 1, 1, 1]], dtype=np.float32))
-    assert cols is None and w_used is w0
+def test_layer0_row_sparse_gate():
+    rng = np.random.default_rng(2)
+    desk_w0 = np.zeros((640, 128), dtype=np.float32)
+    wide_w0 = np.zeros((20000, 64), dtype=np.float32)
+    assert desk_w0.nbytes <= BLOCK_BYTES < wide_w0.nbytes
+    for w0, density, sparse in (
+        (desk_w0, 0.176, False),
+        (desk_w0, 0.012, False),
+        (wide_w0, 0.012, True),
+        (wide_w0, 0.176, False),
+    ):
+        b0 = np.zeros(w0.shape[1], dtype=np.float32)
+        assert _layer0(w0, b0, _sparse_batch(rng, 4, w0.shape[0], density))[1] == sparse
+
+
+def test_train_step_holds_no_full_size_w0_buffer():
+    model = init_model(ArchSpec((8000, 512, 32, 4)), seed=0)
+    x = _sparse_batch(np.random.default_rng(1), 32, 8000, 0.01)
+    y = np.arange(32) % 4
+    rng = np.random.default_rng(2)
+    peak = _peak_traced_bytes(
+        lambda: train_step(model, x, y, 0.01, dropout_rate=0.5, input_noise_rate=0.2, rng=rng)
+    )
+    assert peak <= 0.2 * model.weights[0].nbytes
 
 
 def test_frozen_trunk_head_matches_full_backward():
@@ -610,13 +644,16 @@ def test_gradient_check_multiple_seeds():
         assert err < 1e-6
 
 
-def test_gradient_check_through_compacted_layer0():
+def test_gradient_check_through_row_sparse_layer0(monkeypatch):
+    # The check's 16-unit limit keeps W0 under one block, so force the path;
+    # a one-row block budget makes the gradient come from several blocks.
+    taken = []
+    monkeypatch.setattr(network, "_row_sparse", lambda w0, x: taken.append(w0.shape) or True)
+    monkeypatch.setattr(network, "BLOCK_BYTES", 8 * 6)
     x = np.zeros(8)
     x[[2, 5]] = [1.0, 0.5]
-    _, _, cols, _ = _layer0(np.ones((8, 6)), np.zeros(6), x[None, :])
-    assert cols.tolist() == [2, 5]
     err = gradient_check(ArchSpec((8, 6, 5, 3)), seed=2, sample=(x, 1), epsilon=1e-5)
-    assert err < 1e-6
+    assert taken and err < 1e-6
 
 
 def test_gradient_check_guards_large_arch():
