@@ -9,9 +9,11 @@ and TsneConfig, with value types taken from the field defaults, and are
 type-checked once when the file is loaded; the flags for those fields are
 typed the same way. train and transfer share one set of training flags. One
 table of path options (_PATH_OPTIONS) adds every command's path flags, names
-the paths section's keys and drives their resolution. Exit codes:
-0 success, 2 usage or validation error, 1 internal error. Diagnostics go to
-stderr; machine-readable results go to files or stdout.
+the paths section's keys and drives their resolution. Each config dataclass
+checks its values when built, so _stage_config only assembles them, and one
+rule, _check_fit, says when a net fits a matrix for train, transfer and eval.
+Exit codes: 0 success, 2 usage or validation error, 1 internal error.
+Diagnostics go to stderr; machine-readable results go to files or stdout.
 
 All randomness flows from one root seed (--seed or config "seed"): each
 stage derives its own sub-seed as the low 64 bits of
@@ -28,7 +30,7 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import SynthSpec, export_corpus, generate_synthetic_corpus, load_corpus
+from .corpus import SynthSpec, _parse_json, export_corpus, generate_synthetic_corpus, load_corpus
 from .featurize import (
     DEFAULT_VOCAB_SIZE,
     build_vocabulary,
@@ -137,11 +139,17 @@ def _check_value(where: str, kind: type, value) -> None:
         raise ValueError(f"config {where} must be {_EXPECTED[kind]}, got {json.dumps(value)}")
 
 
+def _check_seed(where: str, value) -> int:
+    if not (type(value) is int and 0 <= value <= MAX_SEED):
+        raise ValueError(f"{where} must be an unsigned 64-bit integer")
+    return value
+
+
 def load_config(path: str | None) -> dict:
     """Parse the JSON config file and check every key and value against _SCHEMA."""
     if path is None:
         return {}
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _parse_json(Path(path).read_bytes(), ValueError, f"config file {path}")
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = sorted(set(raw) - {"seed", *_SCHEMA})
@@ -159,16 +167,13 @@ def load_config(path: str | None) -> dict:
             )
         for key, value in raw[section].items():
             _check_value(f"{section}.{key}", schema[key], value)
-    if "seed" in raw and not (type(raw["seed"]) is int and 0 <= raw["seed"] <= MAX_SEED):
-        raise ValueError("config seed must be an unsigned 64-bit integer")
+    _check_seed("config seed", raw.get("seed", 0))
     return raw
 
 
 def _root_seed(args, cfg: dict) -> int:
     if args.seed is not None:
-        if not 0 <= args.seed <= MAX_SEED:
-            raise ValueError("--seed must be an unsigned 64-bit integer")
-        return args.seed
+        return _check_seed("--seed", args.seed)
     return cfg.get("seed", 0)
 
 
@@ -216,9 +221,21 @@ def _stage_config(cls, args, cfg: dict, section: str, stage: str):
     values.update(
         (k, v) for k, v in vars(args).items() if k in fields - {"seed"} and v is not None
     )
-    config = cls(**values)
-    config.validate()
-    return config
+    return cls(**values)
+
+
+def _check_fit(name: str, arch: ArchSpec, rows, classes=None, task: str = "") -> None:
+    """Reject a net that does not fit a matrix: its input size must be the matrix
+    width and, when classes are given, its output size their count."""
+    if arch.input_size != rows.shape[1]:
+        raise ValueError(
+            f"{name} input size {arch.input_size} does not match matrix width {rows.shape[1]}"
+        )
+    if classes is not None and arch.output_size != len(classes):
+        raise ValueError(
+            f"{name} output size {arch.output_size} does not match "
+            f"{len(classes)} distinct {task} label(s): {', '.join(classes)}"
+        )
 
 
 def _write_report(report, path: str | None) -> None:
@@ -265,15 +282,7 @@ def cmd_train(args, cfg: dict) -> int:
     rows, classes, labels = _load_labeled_matrix(args.matrix, args.task)
     sizes = args.arch if args.arch is not None else cfg.get("train", {}).get("arch")
     arch = default_arch(rows.shape[1], len(classes)) if sizes is None else ArchSpec(tuple(sizes))
-    if arch.input_size != rows.shape[1]:
-        raise ValueError(
-            f"arch input size {arch.input_size} does not match matrix width {rows.shape[1]}"
-        )
-    if arch.output_size != len(classes):
-        raise ValueError(
-            f"arch output size {arch.output_size} does not match "
-            f"{len(classes)} distinct {args.task} label(s): {', '.join(classes)}"
-        )
+    _check_fit("arch", arch, rows, classes, args.task)
     model = init_model(arch, derive_seed(_root_seed(args, cfg), "train-init"))
     print(
         f"training {args.task} model {list(arch.layer_sizes)} on {rows.shape[0]} rows "
@@ -291,11 +300,7 @@ def cmd_transfer(args, cfg: dict) -> int:
     config = _stage_config(TrainConfig, args, cfg, "train", "transfer")
     base = load_model(args.base_model)
     rows, classes, labels = _load_labeled_matrix(args.matrix, "nation")
-    if base.arch.input_size != rows.shape[1]:
-        raise ValueError(
-            f"base model input size {base.arch.input_size} does not match "
-            f"matrix width {rows.shape[1]}"
-        )
+    _check_fit("base model", base.arch, rows)  # the new head is sized to the classes
     print(
         f"transfer to {len(classes)} nation class(es) on {rows.shape[0]} rows "
         f"for {config.epochs} epochs",
@@ -311,11 +316,7 @@ def cmd_transfer(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     model = load_model(args.model)
     rows, classes, labels = _load_labeled_matrix(args.matrix, args.task)
-    if len(classes) != model.arch.output_size:
-        raise ValueError(
-            f"model has {model.arch.output_size} outputs but matrix carries "
-            f"{len(classes)} distinct {args.task} label(s)"
-        )
+    _check_fit("model", model.arch, rows, classes, args.task)
     result = evaluate(model, rows, labels)
     payload = {
         "task": args.task,

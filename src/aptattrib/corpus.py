@@ -1,4 +1,8 @@
-"""Report corpora: loading, labeling, family-disjoint splitting, and synthesis."""
+"""Report corpora: loading, labeling, family-disjoint splitting, and synthesis.
+
+_parse_json here is the package's one JSON reader: the config, every
+manifest line and the vocabulary pass through it.
+"""
 
 from __future__ import annotations
 
@@ -97,6 +101,20 @@ class SynthSpec:
         if not 0 <= self.seed < 2**64:
             raise CorpusError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
+    __post_init__ = validate  # a config checks itself when it is built
+
+
+def _parse_json(raw: bytes, error: type[ValueError], where: str):
+    """Decode raw strictly as UTF-8, then parse it as JSON.
+
+    The one JSON reader for input files. Bytes that are not UTF-8, text that
+    is not JSON, and nesting too deep to parse all raise error naming where.
+    """
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON ({exc})") from exc
+
 
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus from a JSON Lines manifest; report paths are relative to it."""
@@ -105,41 +123,37 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         raise CorpusError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
     reports: list[LabeledReport] = []
-    with open(manifest_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
-                raise CorpusError(f"manifest line {lineno}: expected object with id and path")
-            for key in ("id", "path"):
-                if not isinstance(entry[key], str) or not entry[key]:
-                    raise CorpusError(
-                        f"manifest line {lineno}: {key} must be a non-empty string, "
-                        f"got {json.dumps(entry[key])}"
-                    )
-            for key in ("nation", "family"):
-                if not isinstance(entry.get(key), (str, type(None))):
-                    raise CorpusError(
-                        f"manifest line {lineno}: {key} must be a string or null, "
-                        f"got {json.dumps(entry[key])}"
-                    )
-            report_path = base / entry["path"]
-            if not report_path.is_file():
-                raise CorpusError(f"manifest line {lineno}: report file not found: {report_path}")
-            # Non-UTF-8 bytes become replacement chars, which tokenize as delimiters.
-            text = report_path.read_text(encoding="utf-8", errors="replace")
-            reports.append(
-                LabeledReport(
-                    id=entry["id"],
-                    raw_text=text,
-                    nation=entry.get("nation"),
-                    family=entry.get("family"),
+    # bytes.splitlines breaks at \n, \r\n and \r, as text-mode line reading does.
+    for lineno, line in enumerate(manifest_path.read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"manifest {manifest_path} line {lineno}"
+        entry = _parse_json(line, CorpusError, where)
+        if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
+            raise CorpusError(f"{where}: expected object with id and path")
+        for key in ("id", "path"):
+            if not isinstance(entry[key], str) or not entry[key]:
+                raise CorpusError(
+                    f"{where}: {key} must be a non-empty string, got {json.dumps(entry[key])}"
                 )
+        for key in ("nation", "family"):
+            if not isinstance(entry.get(key), (str, type(None))):
+                raise CorpusError(
+                    f"{where}: {key} must be a string or null, got {json.dumps(entry[key])}"
+                )
+        report_path = base / entry["path"]
+        if not report_path.is_file():
+            raise CorpusError(f"{where}: report file not found: {report_path}")
+        # Non-UTF-8 bytes become replacement chars, which tokenize as delimiters.
+        text = report_path.read_text(encoding="utf-8", errors="replace")
+        reports.append(
+            LabeledReport(
+                id=entry["id"],
+                raw_text=text,
+                nation=entry.get("nation"),
+                family=entry.get("family"),
             )
+        )
     return Corpus(reports)
 
 
@@ -152,6 +166,8 @@ def family_disjoint_split(
     first val_per_family reports (by corpus order) go to validation, the rest
     to train.
     """
+    if val_per_family < 0:
+        raise CorpusError(f"val_per_family must be >= 0, got {val_per_family}")
     unknown = set(test_families) - set(corpus.families)
     if unknown:
         raise CorpusError(f"test families not present in corpus: {sorted(unknown)}")
@@ -189,7 +205,6 @@ def family_disjoint_split(
 
 def generate_synthetic_corpus(spec: SynthSpec) -> Corpus:
     """Generate a labeled corpus of token-stream reports; pure function of spec."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     reports: list[LabeledReport] = []
     for n in range(spec.nations):

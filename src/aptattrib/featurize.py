@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, LabeledReport
+from .corpus import Corpus, CorpusError, LabeledReport, _parse_json
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 MAX_TOKEN_LEN = 256  # bytes; alphabet is ASCII so chars == bytes
@@ -121,10 +121,7 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read vocabulary file {path}: {exc}") from exc
+    doc = _parse_json(Path(path).read_bytes(), FormatError, f"vocabulary file {path}")
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise FormatError(f"vocabulary file {path}: expected version 1")
     try:

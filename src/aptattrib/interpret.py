@@ -91,6 +91,8 @@ class TsneConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
+    __post_init__ = validate  # a config checks itself when it is built
+
 
 @dataclass
 class Embedding2D:
@@ -288,7 +290,6 @@ def tsne_embed(
     row-block buffers (see _TsneIteration).
     """
     config = config or TsneConfig()
-    config.validate()
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("points must be a 2-D array of row vectors")
@@ -331,8 +332,6 @@ def embed_corpus(
     if label_kind not in ("nation", "family"):
         raise ValueError(f"label_kind must be 'nation' or 'family', got {label_kind!r}")
     labels = nations if label_kind == "nation" else families
-    if len(labels) != len(rows):
-        raise ValueError("labels must align with rows")
     acts = penultimate_activations(model, rows)
     return tsne_embed(acts, labels=labels, config=config)
 
@@ -405,9 +404,11 @@ def export_scatter_svg(embedding: Embedding2D, path: str | Path) -> None:
     for i, (label, color) in enumerate(sorted(color_of.items())):
         ly = SVG_MARGIN + 16 * i
         parts.append(f'<rect x="{SVG_MARGIN}" y="{ly}" width="10" height="10" fill="{color}"/>')
+        # XML parsers read a bare carriage return back as a newline; &#13; keeps it
+        text = html.escape(label or "(unlabeled)").replace("\r", "&#13;")
         parts.append(
             f'<text x="{SVG_MARGIN + 14}" y="{ly + 9}" font-family="sans-serif" '
-            f'font-size="12">{html.escape(label or "(unlabeled)")}</text>'
+            f'font-size="12">{text}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -4,7 +4,10 @@ Node layers are ReLU-activated except the last, whose affine output goes
 through a max-subtracted softmax. Training is plain mini-batch gradient
 descent on softmax cross-entropy with inverted dropout on hidden layers,
 zeroing noise on the input layer, and a geometric learning-rate decay.
-Weights live in float32; gradient checking runs a float64 path.
+Weights live in float32; gradient checking runs a float64 path. Rows and
+labels are checked once where they enter (_inputs): forward, train_step and
+evaluate check each call's batch, and train checks its training set and
+validation pair before the first step.
 
 The binary inputs are sparse, so layer 0 has a row-sparse path. When W0
 spans more than one row block and at most SPARSE_MAX_DENSITY of a batch's
@@ -147,6 +150,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
+    __post_init__ = validate  # a config checks itself when it is built
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -243,14 +248,14 @@ def _forward_pass(
     dropout_rate: float = 0.0,
     input_noise_rate: float = 0.0,
 ):
-    """Batched forward pass; returns (activations per node-layer, caches).
+    """Batched forward pass of a0, cast to the weights' dtype; returns (activations, caches).
 
     caches[0] is layer 0's (post-noise input, sparse) with sparse the path
     _layer0 took. caches[l] for each hidden node-layer l is (pre-dropout ReLU
     output, dropout multiplier or None); the multipliers are what backprop
     needs to route gradients through inverted dropout.
     """
-    a = a0
+    a = np.asarray(a0, dtype=weights[0].dtype)
     if train and input_noise_rate > 0.0:
         a = a * (rng.random(a.shape) >= input_noise_rate)
     z, sparse = _layer0(weights[0], biases[0], a)
@@ -307,19 +312,34 @@ def _backward_pass(
     return grads_w, grads_b, dz
 
 
-def _as_batch(model: MlpModel, x: np.ndarray, dtype=np.float32) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=dtype)
-    single = x.ndim == 1
-    if single:
+def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Check input rows, and their labels if given; returns (rows, int64 labels or None).
+
+    The one check of rows entering the network. One vector becomes one row.
+    Float rows become float32, the dtype the network computes in, before the
+    finite check, so a value that overflows float32 is caught. Integer and
+    boolean rows are always finite and keep their dtype, so train holds no
+    float copy of a uint8 matrix; _forward_pass casts each batch.
+    """
+    x = np.asarray(x)
+    if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.arch.input_size:
         raise ValueError(
             f"input width {x.shape[-1] if x.ndim else 0} does not match "
             f"model input size {model.arch.input_size}"
         )
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite values")
-    return x, single
+    if x.dtype.kind not in "biu":
+        x = x.astype(np.float32, copy=False)
+        if not np.isfinite(x).all():
+            raise ValueError("input contains non-finite values")
+    if y is not None:
+        y = np.asarray(y, dtype=np.int64)
+        if y.shape != x.shape[:1]:
+            raise ValueError("labels must align with rows")
+        if y.size and (y.min() < 0 or y.max() >= model.arch.output_size):
+            raise ValueError(f"labels must lie in [0, {model.arch.output_size})")
+    return x, y
 
 
 def forward(
@@ -340,7 +360,8 @@ def forward(
         raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
     if mode == "train" and rng is None:
         raise ValueError("train mode requires a seeded rng")
-    batch, single = _as_batch(model, x)
+    single = np.ndim(x) == 1
+    batch, _ = _inputs(model, x)
     acts, _ = _forward_pass(
         model.weights,
         model.biases,
@@ -365,13 +386,6 @@ def learning_rate(epoch: int, config: TrainConfig) -> float:
     return config.lr_init * ratio ** (epoch / (config.epochs - 1))
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"labels must lie in [0, {n_classes})")
-    return labels
-
-
 def train_step(
     model: MlpModel,
     batch_x: np.ndarray,
@@ -389,12 +403,9 @@ def train_step(
     row blocks of at most BLOCK_BYTES (see _w0_grad_blocks), so the step holds
     neither a gathered copy of W0 nor its full-size gradient.
     """
-    x, _ = _as_batch(model, batch_x)
+    x, y = _inputs(model, batch_x, batch_y)
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    y = _check_labels(batch_y, model.arch.output_size)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("batch labels must align with rows")
     train = dropout_rate > 0.0 or input_noise_rate > 0.0
     if train and rng is None:
         raise ValueError("dropout or input noise requires a seeded rng")
@@ -442,17 +453,15 @@ def train(
 
     Shuffling, input noise, and dropout all draw from one generator seeded
     once at the start, so identical configs give byte-identical models. The
-    whole set is checked before the first step, so bad input leaves the model
-    untouched.
+    whole training set and the validation pair are checked before the first
+    step, so bad input leaves the model untouched.
     """
-    config.validate()
-    x, _ = _as_batch(model, train_x, dtype=None)
+    x, y = _inputs(model, train_x, train_y)
     n = x.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
-    y = _check_labels(train_y, model.arch.output_size)
-    if y.shape[0] != n:
-        raise ValueError("training labels must align with rows")
+    if validation is not None:
+        validation = _inputs(model, *validation)
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
     for epoch in range(config.epochs):
@@ -487,10 +496,7 @@ def evaluate(model: MlpModel, data_x: np.ndarray, data_y: np.ndarray) -> EvalRes
     """Infer-mode accuracy and confusion matrix; argmax ties go to the lowest class."""
     if data_y is None:
         raise ValueError("evaluation requires labels")
-    x, _ = _as_batch(model, data_x)
-    y = _check_labels(data_y, model.arch.output_size)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("labels must align with rows")
+    x, y = _inputs(model, data_x, data_y)
     acts, _ = _forward_pass(model.weights, model.biases, x)
     probs = acts[-1]
     preds = probs.argmax(axis=1)

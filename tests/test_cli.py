@@ -588,3 +588,41 @@ def test_parser_and_schema_surface_is_pinned():
             "embedding_svg".split()
         ),
     }
+
+
+@pytest.mark.parametrize("body", [b"[" * 5000, b'{"seed": "\xff"}'], ids=["deep", "not-utf8"])
+@pytest.mark.parametrize("kind", ["config", "vocabulary", "manifest"])
+def test_unreadable_json_input_exits_2_naming_the_file(tmp_path, capsys, kind, body):
+    path = tmp_path / "input.json"
+    path.write_bytes(body)
+    model = tmp_path / "m.model"
+    save_model(init_model(ArchSpec((1, 2)), seed=0), model)
+    argv = {
+        "config": ["synth", "--config", str(path), "--out-dir", str(tmp_path / "c")],
+        "vocabulary": ["importance", "--model", str(model), "--vocab", str(path)],
+        "manifest": ["vocab", "--manifest", str(path), "--out", str(tmp_path / "v.json")],
+    }[kind]
+    assert main(argv) == 2
+    named = f"manifest {path} line 1" if kind == "manifest" else f"{kind} file {path}"
+    assert capsys.readouterr().err.startswith(f"error: {named}: invalid JSON (")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_flag_and_config_seed_share_one_range_check(tmp_path, capsys, seed):
+    out = ["--out-dir", str(tmp_path / "c")]
+    assert main(["synth", *out, "--seed", str(seed)]) == 2
+    assert "--seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"seed": seed}))
+    assert main(["synth", *out, "--config", str(config)]) == 2
+    assert "config seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_eval_width_mismatch_exits_2_before_inference(tmp_path, capsys):
+    matrix = tmp_path / "x.bin"
+    save_matrix(matrix, np.ones((2, 3), dtype=np.uint8), ["a", "b"], ["f", "g"])
+    model = tmp_path / "m.model"
+    save_model(init_model(ArchSpec((4, 2)), seed=0), model)
+    assert main(["eval", "--model", str(model), "--matrix", str(matrix)]) == 2
+    assert "model input size 4 does not match matrix width 3" in capsys.readouterr().err

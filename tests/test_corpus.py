@@ -65,6 +65,11 @@ def test_synth_spec_validation(kwargs):
         SynthSpec(**kwargs).validate()
 
 
+def test_synth_spec_checks_itself_when_built():
+    with pytest.raises(CorpusError, match="p_nation"):
+        SynthSpec(p_nation=1.5)
+
+
 def test_synth_corpus_shape_and_labels():
     spec = SynthSpec(nations=2, families_per_nation=3, reports_per_family=4, seed=9)
     c = generate_synthetic_corpus(spec)
@@ -187,6 +192,20 @@ def test_load_corpus_bad_json_line(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "line, problem",
+    [(b'{"id": "a\xff", "path": "a.txt"}', "can't decode"), (b"[" * 5000, "recursion")],
+    ids=["not-utf8", "deep"],
+)
+def test_load_corpus_names_the_file_and_line_of_unreadable_json(tmp_path, line, problem):
+    (tmp_path / "a.txt").write_text("x")
+    path = tmp_path / "manifest.jsonl"
+    path.write_bytes(b'{"id": "ok", "path": "a.txt"}\r\n' + line + b"\n")
+    with pytest.raises(CorpusError, match=problem) as info:
+        load_corpus(path)
+    assert str(info.value).startswith(f"manifest {path} line 2: invalid JSON")
+
+
 def test_load_corpus_missing_report_file(tmp_path):
     path = tmp_path / "manifest.jsonl"
     path.write_text('{"id": "a", "path": "gone.txt"}\n')
@@ -268,6 +287,11 @@ def test_family_disjoint_split_unknown_family():
 def test_family_disjoint_split_val_too_large():
     with pytest.raises(CorpusError, match="val_per_family"):
         family_disjoint_split(_labeled_corpus(), {"f2"}, val_per_family=5)
+
+
+def test_family_disjoint_split_rejects_negative_val_per_family():
+    with pytest.raises(CorpusError, match="val_per_family must be >= 0, got -2"):
+        family_disjoint_split(_labeled_corpus(), {"f2"}, val_per_family=-2)
 
 
 def test_family_disjoint_split_needs_remaining_family():

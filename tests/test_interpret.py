@@ -487,6 +487,14 @@ def test_export_scatter_svg_escapes_labels(tmp_path):
     assert texts == sorted(embedding.labels)
 
 
+def test_export_scatter_svg_keeps_a_carriage_return_in_a_legend_label(tmp_path):
+    emb = Embedding2D(points=np.array([[0.0, 1.0], [2.0, 3.0]]), labels=("a\rb", "c"))
+    export_scatter_svg(emb, tmp_path / "e.svg")
+    root = ET.parse(tmp_path / "e.svg").getroot()
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == ["a\rb", "c"]
+    assert b"a&#13;b" in (tmp_path / "e.svg").read_bytes()
+
+
 def test_export_scatter_svg_structure(tmp_path):
     path = tmp_path / "e.svg"
     export_scatter_svg(_tiny_embedding(), path)

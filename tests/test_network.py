@@ -270,6 +270,11 @@ def test_train_config_validation(kwargs):
         TrainConfig(**kwargs).validate()
 
 
+def test_train_config_checks_itself_when_built():
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=0)
+
+
 # --- train_step ---
 
 
@@ -558,6 +563,38 @@ def test_train_checks_every_row_before_the_first_step():
     with pytest.raises(ValueError, match="align"):
         train(m, x, np.zeros(39, dtype=np.int64), TrainConfig(epochs=1))
     assert _model_bytes(m) == before
+
+
+@pytest.mark.parametrize(
+    "vx, vy, match",
+    [
+        (np.ones((6, 5)), np.zeros(6, dtype=np.int64), "width"),
+        (np.full((6, 4), np.inf), np.zeros(6, dtype=np.int64), "finite"),
+        (np.ones((6, 4)), np.full(6, 2), "labels"),
+        (np.ones((6, 4)), np.zeros(5, dtype=np.int64), "align"),
+    ],
+)
+def test_train_checks_the_validation_pair_before_the_first_step(vx, vy, match):
+    m = init_model(ArchSpec((4, 3, 2)), seed=0)
+    before = _model_bytes(m)
+    x = np.ones((8, 4), dtype=np.uint8)
+    y = np.array([0, 1] * 4)
+    with pytest.raises(ValueError, match=match):
+        train(m, x, y, TrainConfig(epochs=2), validation=(vx, vy))
+    assert _model_bytes(m) == before
+
+
+def test_uint8_and_float32_rows_give_the_same_bits():
+    rng = np.random.default_rng(4)
+    x = (rng.random((16, 6)) < 0.3).astype(np.uint8)
+    y = rng.integers(0, 3, size=16)
+    models = [init_model(ArchSpec((6, 5, 3)), seed=2) for _ in range(2)]
+    cfg = TrainConfig(epochs=3, batch_size=4, seed=9)
+    reports = [train(m, rows, y, cfg) for m, rows in zip(models, (x, x.astype(np.float32)))]
+    assert _model_bytes(models[0]) == _model_bytes(models[1])
+    assert reports[0].to_json() == reports[1].to_json()
+    acts = [forward(models[0], rows)[0] for rows in (x, x.astype(np.float32))]
+    assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes() for a, b in zip(*acts))
 
 
 def test_train_frozen_layer_untouched_over_epochs():
