@@ -3,15 +3,19 @@
 Subcommands: synth, vocab, vectorize, train, transfer, eval, importance,
 embed. Every option can come from a JSON config file (--config) with
 command-line flags winning over config values, which win over the library
-defaults. The config schema is derived, not restated: the synth, train and
-tsne sections take exactly the fields of SynthSpec, TrainConfig (plus arch)
-and TsneConfig, with value types taken from the field defaults, and are
-type-checked once when the file is loaded; the flags for those fields are
-typed the same way. train and transfer share one set of training flags. One
-table of path options (_PATH_OPTIONS) adds every command's path flags, names
-the paths section's keys and drives their resolution. Each config dataclass
-checks its values when built, so _stage_config only assembles them, and one
-rule, _check_fit, says when a net fits a matrix for train, transfer and eval.
+defaults. That rule is applied once, by _resolve, before a command runs: it
+fills in the paths and the root seed and hands the command its settings, so
+no command reads the config. The config schema is derived, not restated: the
+synth, train and tsne sections take exactly the fields of SynthSpec,
+TrainConfig (plus arch) and TsneConfig, with value types taken from the field
+defaults, and are type-checked once when the file is loaded by the same rule
+(corpus._check_setting) each dataclass applies to its fields; the flags for
+those fields are typed the same way. train and transfer share one set of
+training flags. One table of path options (_PATH_OPTIONS) adds every
+command's path flags, names the paths section's keys and drives their
+resolution. Each config dataclass checks its values when built, so
+_stage_config only assembles them, and one rule, _check_fit, says when a net
+fits a matrix for train, transfer and eval.
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 Diagnostics go to stderr; machine-readable results go to files or stdout.
 
@@ -24,13 +28,20 @@ pipeline is reproducible from a single number.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
-from .corpus import SynthSpec, _parse_json, export_corpus, generate_synthetic_corpus, load_corpus
+from .corpus import (
+    SynthSpec,
+    _check_setting,
+    _field_types,
+    _parse_json,
+    export_corpus,
+    generate_synthetic_corpus,
+    load_corpus,
+)
 from .featurize import (
     DEFAULT_VOCAB_SIZE,
     build_vocabulary,
@@ -64,13 +75,9 @@ from .transfer import transfer_train
 MAX_SEED = 2**64 - 1
 
 
-def _field_types(cls) -> dict[str, type]:
-    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
-
-
 # command -> its path options as (flag, paths key, help, required). The table
 # adds the flags, names the keys of the config's paths section, and drives
-# _resolve_paths.
+# the paths' resolution in _resolve.
 _PATH_OPTIONS = {
     "synth": (("--out-dir", "corpus_dir", "directory for report files and manifest.jsonl", True),),
     "vocab": (
@@ -118,12 +125,13 @@ _SCHEMA = {
     "tsne": _field_types(TsneConfig),
     "paths": {key: str for options in _PATH_OPTIONS.values() for _, key, _, _ in options},
 }
-_EXPECTED = {
-    float: "a number",
-    int: "an integer",
-    bool: "true or false",
-    str: "a string",
-    list: "a list of integers",
+# command -> the config section its settings come from
+_SECTIONS = {
+    "synth": "synth",
+    "vocab": "vocab",
+    "train": "train",
+    "transfer": "train",
+    "embed": "tsne",
 }
 
 
@@ -131,12 +139,6 @@ def derive_seed(root_seed: int, stage: str) -> int:
     """Stage sub-seed: low 64 bits of sha256(root_seed_le8 || stage_name)."""
     digest = hashlib.sha256(root_seed.to_bytes(8, "little") + stage.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _check_value(where: str, kind: type, value) -> None:
-    accepted = (int, float) if kind is float else (kind,)
-    if type(value) not in accepted or (kind is list and any(type(v) is not int for v in value)):
-        raise ValueError(f"config {where} must be {_EXPECTED[kind]}, got {json.dumps(value)}")
 
 
 def _check_seed(where: str, value) -> int:
@@ -166,21 +168,20 @@ def load_config(path: str | None) -> dict:
                 f"unknown config key(s) in config section {section!r}: {', '.join(unknown)}"
             )
         for key, value in raw[section].items():
-            _check_value(f"{section}.{key}", schema[key], value)
+            _check_setting(f"config {section}.{key}", schema[key], value)
     _check_seed("config seed", raw.get("seed", 0))
     return raw
 
 
-def _root_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return _check_seed("--seed", args.seed)
-    return cfg.get("seed", 0)
+def _resolve(args, cfg: dict) -> dict:
+    """Decide each setting of args.command once: flag, then config, then default.
 
-
-def _resolve_paths(args, cfg: dict) -> None:
-    """Fill each path option of args.command: flag, then config paths.<key>, then error.
-
-    paths.manifest defaults to manifest.jsonl under paths.corpus_dir.
+    Fills args in place: each path option from its flag, then config
+    paths.<key>, else an error if it is required (paths.manifest defaults to
+    manifest.jsonl under paths.corpus_dir); and args.seed with the checked
+    root seed. Returns the command's settings: its config section (_SECTIONS)
+    overlaid by every flag given except --seed, which is the root seed and
+    never a stage's own.
     """
     paths = cfg.get("paths", {})
     if "manifest" not in paths and "corpus_dir" in paths:
@@ -191,6 +192,9 @@ def _resolve_paths(args, cfg: dict) -> None:
             setattr(args, dest, paths.get(key))
         if required and getattr(args, dest) is None:
             raise ValueError(f"no {key} path given: pass {flag} or set paths.{key} in the config")
+    args.seed = cfg.get("seed", 0) if args.seed is None else _check_seed("--seed", args.seed)
+    flags = {k: v for k, v in vars(args).items() if v is not None and k != "seed"}
+    return {**cfg.get(_SECTIONS.get(args.command), {}), **flags}
 
 
 def _load_labeled_matrix(path: str, task: str):
@@ -209,19 +213,16 @@ def _parse_arch_flag(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise ValueError(f"--arch must be comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}"
+        ) from None
 
 
-def _stage_config(cls, args, cfg: dict, section: str, stage: str):
-    """A validated `cls`: stage seed, then config section, then flags, each winning."""
-    fields = set(_field_types(cls))
-    values = {"seed": derive_seed(_root_seed(args, cfg), stage)}
-    values.update((k, v) for k, v in cfg.get(section, {}).items() if k in fields)
-    # --seed is the root seed, never a stage's own
-    values.update(
-        (k, v) for k, v in vars(args).items() if k in fields - {"seed"} and v is not None
-    )
-    return cls(**values)
+def _stage_config(cls, args, settings: dict):
+    """A validated `cls`: the stage seed derived from args.command, then the settings."""
+    fields = _field_types(cls)
+    values = {k: v for k, v in settings.items() if k in fields}
+    return cls(**{"seed": derive_seed(args.seed, args.command), **values})
 
 
 def _check_fit(name: str, arch: ArchSpec, rows, classes=None, task: str = "") -> None:
@@ -244,8 +245,8 @@ def _write_report(report, path: str | None) -> None:
         print(f"wrote training report to {path}", file=sys.stderr)
 
 
-def cmd_synth(args, cfg: dict) -> int:
-    spec = _stage_config(SynthSpec, args, cfg, "synth", "synth")
+def cmd_synth(args, settings: dict) -> int:
+    spec = _stage_config(SynthSpec, args, settings)
     corpus = generate_synthetic_corpus(spec)
     manifest = export_corpus(corpus, args.out_dir)
     print(
@@ -254,12 +255,9 @@ def cmd_synth(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_vocab(args, cfg: dict) -> int:
-    max_size = args.max_size
-    if max_size is None:
-        max_size = cfg.get("vocab", {}).get("max_size", DEFAULT_VOCAB_SIZE)
+def cmd_vocab(args, settings: dict) -> int:
     corpus = load_corpus(args.manifest)
-    vocab = build_vocabulary(corpus, max_size=max_size)
+    vocab = build_vocabulary(corpus, max_size=settings.get("max_size", DEFAULT_VOCAB_SIZE))
     save_vocabulary(vocab, args.out)
     print(
         f"vocabulary of {len(vocab)} tokens from {len(corpus)} reports -> {args.out}",
@@ -268,7 +266,7 @@ def cmd_vocab(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_vectorize(args, cfg: dict) -> int:
+def cmd_vectorize(args, settings: dict) -> int:
     corpus = load_corpus(args.manifest)
     vocab = load_vocabulary(args.vocab)
     rows, nations, families = vectorize_corpus(corpus, vocab)
@@ -277,13 +275,13 @@ def cmd_vectorize(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_train(args, cfg: dict) -> int:
-    config = _stage_config(TrainConfig, args, cfg, "train", "train")
+def cmd_train(args, settings: dict) -> int:
+    config = _stage_config(TrainConfig, args, settings)
     rows, classes, labels = _load_labeled_matrix(args.matrix, args.task)
-    sizes = args.arch if args.arch is not None else cfg.get("train", {}).get("arch")
+    sizes = settings.get("arch")
     arch = default_arch(rows.shape[1], len(classes)) if sizes is None else ArchSpec(tuple(sizes))
     _check_fit("arch", arch, rows, classes, args.task)
-    model = init_model(arch, derive_seed(_root_seed(args, cfg), "train-init"))
+    model = init_model(arch, derive_seed(args.seed, "train-init"))
     print(
         f"training {args.task} model {list(arch.layer_sizes)} on {rows.shape[0]} rows "
         f"for {config.epochs} epochs",
@@ -296,8 +294,8 @@ def cmd_train(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_transfer(args, cfg: dict) -> int:
-    config = _stage_config(TrainConfig, args, cfg, "train", "transfer")
+def cmd_transfer(args, settings: dict) -> int:
+    config = _stage_config(TrainConfig, args, settings)
     base = load_model(args.base_model)
     rows, classes, labels = _load_labeled_matrix(args.matrix, "nation")
     _check_fit("base model", base.arch, rows)  # the new head is sized to the classes
@@ -313,7 +311,7 @@ def cmd_transfer(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_eval(args, cfg: dict) -> int:
+def cmd_eval(args, settings: dict) -> int:
     model = load_model(args.model)
     rows, classes, labels = _load_labeled_matrix(args.matrix, args.task)
     _check_fit("model", model.arch, rows, classes, args.task)
@@ -329,7 +327,7 @@ def cmd_eval(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_importance(args, cfg: dict) -> int:
+def cmd_importance(args, settings: dict) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     model = load_model(args.model)
@@ -344,8 +342,8 @@ def cmd_importance(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_embed(args, cfg: dict) -> int:
-    config = _stage_config(TsneConfig, args, cfg, "tsne", "embed")
+def cmd_embed(args, settings: dict) -> int:
+    config = _stage_config(TsneConfig, args, settings)
     model = load_model(args.model)
     rows, nations, families = load_matrix(args.matrix)
     print(
@@ -430,9 +428,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        _resolve_paths(args, cfg)
-        return args.func(args, cfg)
+        return args.func(args, _resolve(args, load_config(args.config)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,17 @@
 """Report corpora: loading, labeling, family-disjoint splitting, and synthesis.
 
 _parse_json here is the package's one JSON reader: the config, every
-manifest line and the vocabulary pass through it.
+manifest line and the vocabulary pass through it. _check_setting is the one
+type rule for settings: the CLI applies it to each config value when the file
+is loaded, and every config dataclass to each of its fields when it is built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from pathlib import Path
+import math
+from dataclasses import dataclass, fields
+from pathlib import Path, PurePath
 from typing import Iterable
 
 import numpy as np
@@ -83,6 +86,7 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_fields(self)
         counts = {
             "nations": self.nations,
             "families_per_nation": self.families_per_nation,
@@ -116,6 +120,54 @@ def _parse_json(raw: bytes, error: type[ValueError], where: str):
         raise error(f"{where}: invalid JSON ({exc})") from exc
 
 
+# kind -> (the types its values may have, how a message names it)
+_KINDS = {
+    float: ((int, float, np.integer, np.floating), "a number"),
+    int: ((int, np.integer), "an integer"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list of integers"),
+}
+
+
+def _show(value) -> str:
+    """value as JSON (repr when it is not JSON), cut to at most 80 characters."""
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError, RecursionError):
+        text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _field_types(cls) -> dict[str, type]:
+    """A config dataclass's field types, each taken from the field's default."""
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
+def _check_setting(where: str, kind: type, value) -> None:
+    """Reject a value that is not of kind, or a float that is not finite.
+
+    A float setting also takes an integer, numpy integer and float scalars
+    count as their Python kinds, a bool is never a number, and a list holds
+    Python integers.
+    """
+    types, name = _KINDS[kind]
+    if (
+        not isinstance(value, types)
+        or (kind is not bool and isinstance(value, bool))
+        or (kind is list and any(type(v) is not int for v in value))
+    ):
+        raise ValueError(f"{where} must be {name}, got {_show(value)}")
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value}")
+
+
+def _check_fields(config) -> None:
+    """Apply _check_setting to every field of a config dataclass, named by the field."""
+    for name, kind in _field_types(type(config)).items():
+        _check_setting(name, kind, getattr(config, name))
+
+
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus from a JSON Lines manifest; report paths are relative to it."""
     manifest_path = Path(manifest_path)
@@ -134,14 +186,17 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         for key in ("id", "path"):
             if not isinstance(entry[key], str) or not entry[key]:
                 raise CorpusError(
-                    f"{where}: {key} must be a non-empty string, got {json.dumps(entry[key])}"
+                    f"{where}: {key} must be a non-empty string, got {_show(entry[key])}"
                 )
         for key in ("nation", "family"):
             if not isinstance(entry.get(key), (str, type(None))):
                 raise CorpusError(
-                    f"{where}: {key} must be a string or null, got {json.dumps(entry[key])}"
+                    f"{where}: {key} must be a string or null, got {_show(entry[key])}"
                 )
-        report_path = base / entry["path"]
+        path = PurePath(entry["path"])
+        if path.is_absolute() or ".." in path.parts:
+            raise CorpusError(f"{where}: path {_show(str(path))} leaves the manifest's directory")
+        report_path = base / path
         if not report_path.is_file():
             raise CorpusError(f"{where}: report file not found: {report_path}")
         # Non-UTF-8 bytes become replacement chars, which tokenize as delimiters.
@@ -231,6 +286,9 @@ def generate_synthetic_corpus(spec: SynthSpec) -> Corpus:
 
 def export_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     """Write one text file per report plus a manifest; returns the manifest path."""
+    for r in corpus.reports:
+        if PurePath(r.id).name != r.id:
+            raise CorpusError(f"report id {_show(r.id)} is not a plain file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.jsonl"

@@ -40,15 +40,35 @@ def tokenize(raw_text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Rank-ordered (token, document frequency) entries built from a corpus."""
+    """Rank-ordered (token, document frequency) entries built from a corpus.
+
+    Checked when built, by build_vocabulary, load_vocabulary or a caller:
+    distinct non-empty string tokens, integer counts, each frequency in
+    [1, corpus_docs], and at most max_size >= 1 entries.
+    """
 
     entries: tuple[tuple[str, int], ...]
     corpus_docs: int
     max_size: int
 
     def __post_init__(self):
-        if len({t for t, _ in self.entries}) != len(self.entries):
+        counts = (self.corpus_docs, self.max_size, *(df for _, df in self.entries))
+        tokens = [t for t, _ in self.entries]
+        if any(type(t) is not str for t in tokens) or any(type(c) is not int for c in counts):
+            raise TypeError("tokens must be strings, and counts and sizes integers")
+        if len(set(tokens)) != len(tokens):
             raise ValueError("vocabulary tokens must be distinct")
+        if not all(tokens):
+            raise ValueError("vocabulary tokens must be non-empty")
+        if self.max_size < 1:
+            raise ValueError(f"max_size must be >= 1, got {self.max_size}")
+        if len(self.entries) > self.max_size:
+            raise ValueError(f"{len(self.entries)} entries exceed max_size {self.max_size}")
+        bad = [df for _, df in self.entries if not 1 <= df <= self.corpus_docs]
+        if bad:
+            raise ValueError(
+                f"document frequency {bad[0]} outside [1, corpus_docs={self.corpus_docs}]"
+            )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -67,8 +87,6 @@ def build_vocabulary(corpus: Corpus, max_size: int = DEFAULT_VOCAB_SIZE) -> Voca
     """
     if len(corpus) == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
     doc_freq: dict[str, int] = {}
     for report in corpus.reports:
         for token in set(tokenize(report.raw_text)):
@@ -126,10 +144,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise FormatError(f"vocabulary file {path}: expected version 1")
     try:
         entries = tuple((t, df) for t, df in doc["entries"])
-        counts = (doc["corpus_docs"], doc["max_size"], *(df for _, df in entries))
-        if any(type(t) is not str for t, _ in entries) or any(type(c) is not int for c in counts):
-            raise TypeError("tokens must be strings, and counts and sizes integers")
-        return Vocabulary(entries=entries, corpus_docs=counts[0], max_size=counts[1])
+        return Vocabulary(entries, doc["corpus_docs"], doc["max_size"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"vocabulary file {path}: malformed entries ({exc})") from exc
 

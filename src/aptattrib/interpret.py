@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import _check_fields
 from .featurize import Vocabulary
-from .network import MlpModel, _require_finite, _row_blocks, penultimate_activations
+from .network import MlpModel, _row_blocks, penultimate_activations
 
 P_FLOOR = 1e-12
 SVG_WIDTH = 800
@@ -76,7 +77,7 @@ class TsneConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.perplexity < 1.0:
             raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
         if self.iterations < 1:

@@ -33,14 +33,14 @@ training writes only its trainable layers.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .corpus import _check_fields
 from .featurize import FormatError, _check_end, _check_remaining, _read_array, _read_header
 
 MODEL_MAGIC = b"APTM"
@@ -116,14 +116,6 @@ class MlpModel:
         )
 
 
-def _require_finite(config) -> None:
-    """Reject a NaN or infinite value in any float field of a config dataclass."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr_init: float = 1e-2
@@ -136,7 +128,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         if not 0.0 <= self.input_noise_rate < 1.0:
@@ -243,20 +235,24 @@ def _forward_pass(
     biases: Sequence[np.ndarray],
     a0: np.ndarray,
     *,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
     input_noise_rate: float = 0.0,
 ):
     """Batched forward pass of a0, cast to the weights' dtype; returns (activations, caches).
 
-    caches[0] is layer 0's (post-noise input, sparse) with sparse the path
-    _layer0 took. caches[l] for each hidden node-layer l is (pre-dropout ReLU
-    output, dropout multiplier or None); the multipliers are what backprop
-    needs to route gradients through inverted dropout.
+    A positive input_noise_rate zeroes each input coordinate with that
+    probability, and a positive dropout_rate applies inverted dropout after
+    each hidden ReLU; either needs a seeded rng. caches[0] is layer 0's
+    (post-noise input, sparse) with sparse the path _layer0 took. caches[l]
+    for each hidden node-layer l is (pre-dropout ReLU output, dropout
+    multiplier or None); the multipliers are what backprop needs to route
+    gradients through inverted dropout.
     """
+    if (dropout_rate > 0.0 or input_noise_rate > 0.0) and rng is None:
+        raise ValueError("dropout or input noise requires a seeded rng")
     a = np.asarray(a0, dtype=weights[0].dtype)
-    if train and input_noise_rate > 0.0:
+    if input_noise_rate > 0.0:
         a = a * (rng.random(a.shape) >= input_noise_rate)
     z, sparse = _layer0(weights[0], biases[0], a)
     acts = [a]
@@ -264,7 +260,7 @@ def _forward_pass(
     for l in range(1, len(weights)):
         h = np.maximum(z, 0.0)
         mult = None
-        if train and dropout_rate > 0.0:
+        if dropout_rate > 0.0:
             mult = (rng.random(h.shape) >= dropout_rate) / np.asarray(
                 1.0 - dropout_rate, dtype=h.dtype
             )
@@ -342,35 +338,14 @@ def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     return x, y
 
 
-def forward(
-    model: MlpModel,
-    x: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.0,
-    input_noise_rate: float = 0.0,
-) -> tuple[list[np.ndarray], np.ndarray]:
+def forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Run the network on a vector or batch; returns (node-layer activations, probabilities).
 
-    Infer mode is deterministic: no noise, no dropout. Train mode zeroes input
-    coordinates with probability input_noise_rate and applies inverted dropout
-    after each hidden ReLU, so a seeded rng is required.
+    Inference only, so deterministic: no input noise, no dropout.
     """
-    if mode not in ("infer", "train"):
-        raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
-    if mode == "train" and rng is None:
-        raise ValueError("train mode requires a seeded rng")
     single = np.ndim(x) == 1
     batch, _ = _inputs(model, x)
-    acts, _ = _forward_pass(
-        model.weights,
-        model.biases,
-        batch,
-        train=(mode == "train"),
-        rng=rng,
-        dropout_rate=dropout_rate,
-        input_noise_rate=input_noise_rate,
-    )
+    acts, _ = _forward_pass(model.weights, model.biases, batch)
     if single:
         acts = [a[0] for a in acts]
     return acts, acts[-1]
@@ -406,14 +381,10 @@ def train_step(
     x, y = _inputs(model, batch_x, batch_y)
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    train = dropout_rate > 0.0 or input_noise_rate > 0.0
-    if train and rng is None:
-        raise ValueError("dropout or input noise requires a seeded rng")
     acts, caches = _forward_pass(
         model.weights,
         model.biases,
         x,
-        train=train,
         rng=rng,
         dropout_rate=dropout_rate,
         input_noise_rate=input_noise_rate,
@@ -535,6 +506,8 @@ def gradient_check(
     x = np.asarray(x, dtype=np.float64)[None, :]
     if x.shape[1] != arch.input_size:
         raise ValueError("sample width does not match architecture input")
+    if not 0 <= label < arch.output_size:
+        raise ValueError(f"sample label {label} outside [0, {arch.output_size})")
     y = np.array([label], dtype=np.int64)
     weights = [w.astype(np.float64) for w in init_model(arch, seed).weights]
     bias_rng = np.random.default_rng([seed, 1])

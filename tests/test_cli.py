@@ -619,6 +619,54 @@ def test_seed_flag_and_config_seed_share_one_range_check(tmp_path, capsys, seed)
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize(
+    "command, seed", [("vocab", "-1"), ("vectorize", str(2**64)), ("eval", str(2**70))]
+)
+def test_every_command_checks_the_root_seed(tmp_path, capsys, command, seed):
+    config_path, _ = _write_pipeline_config(tmp_path)
+    assert main([command, "--config", str(config_path), "--seed", seed]) == 2
+    assert capsys.readouterr().err == "error: --seed must be an unsigned 64-bit integer\n"
+    assert not (tmp_path / "vocab.json").exists()
+
+
+def test_manifest_path_outside_its_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "secret.txt").write_text("secret")
+    (tmp_path / "corpus").mkdir()
+    manifest = tmp_path / "corpus" / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "a", "path": "../secret.txt"}) + "\n")
+    out = tmp_path / "v.json"
+    assert main(["vocab", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "leaves the manifest's directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inconsistent_vocabulary_exits_2_through_importance(tmp_path, capsys):
+    vocab = tmp_path / "v.json"
+    doc = {"version": 1, "corpus_docs": -5, "max_size": -1, "entries": [["a", -3], ["", 0]]}
+    vocab.write_text(json.dumps(doc))
+    model = tmp_path / "m.model"
+    save_model(init_model(ArchSpec((2, 2)), seed=0), model)
+    assert main(["importance", "--model", str(model), "--vocab", str(vocab)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: vocabulary file {vocab}: malformed")
+
+
+def test_bad_arch_flag_names_the_problem(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--matrix", "x.bin", "--model-out", "m.model", "--arch", "4,x"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --arch: must be comma-separated integers, got '4,x'" in err
+
+
+def test_config_type_error_shows_at_most_80_characters_of_the_value(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"train": {"arch": ' + "[" * 950 + "]" * 950 + "}}")
+    assert main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config train.arch must be a list of integers, got [[[")
+    assert len(err.split("got ", 1)[1].rstrip("\n")) == 80
+
+
 def test_eval_width_mismatch_exits_2_before_inference(tmp_path, capsys):
     matrix = tmp_path / "x.bin"
     save_matrix(matrix, np.ones((2, 3), dtype=np.uint8), ["a", "b"], ["f", "g"])

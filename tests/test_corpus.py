@@ -13,6 +13,8 @@ from aptattrib.corpus import (
     generate_synthetic_corpus,
     load_corpus,
 )
+from aptattrib.interpret import TsneConfig
+from aptattrib.network import TrainConfig
 
 
 def _report(rid, text="alpha beta", nation=None, family=None):
@@ -237,6 +239,53 @@ def test_load_corpus_type_checks_manifest_fields(tmp_path, fields, key):
     path.write_text('{"id": "ok", "path": "a.txt"}\n' + json.dumps(fields) + "\n")
     with pytest.raises(CorpusError, match=f"line 2: {key} must be"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("report_path", ["../secret.txt", "sub/../../secret.txt", "/abs.txt"])
+def test_load_corpus_keeps_report_paths_inside_the_manifest_directory(tmp_path, report_path):
+    (tmp_path / "secret.txt").write_text("secret")
+    (tmp_path / "corpus").mkdir()
+    path = tmp_path / "corpus" / "manifest.jsonl"
+    path.write_text(json.dumps({"id": "a", "path": report_path}) + "\n")
+    with pytest.raises(CorpusError, match="line 1: path .* leaves the manifest's directory"):
+        load_corpus(path)
+
+
+def test_load_corpus_shows_at_most_80_characters_of_a_bad_value(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps({"id": "a", "path": [[[1] * 500]]}) + "\n")
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    shown = str(info.value).split("got ", 1)[1]
+    assert len(shown) == 80 and shown.endswith("...")
+
+
+def test_export_rejects_an_id_that_is_not_a_plain_file_name(tmp_path):
+    corpus = Corpus([_report("fine"), _report("../escaped")])
+    with pytest.raises(CorpusError, match="plain file name"):
+        export_corpus(corpus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "escaped.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (TrainConfig, "shuffle", "no"),
+        (TrainConfig, "epochs", 2.5),
+        (TsneConfig, "iterations", 2.5),
+        (SynthSpec, "nations", 2.5),
+        (SynthSpec, "p_nation", True),
+    ],
+)
+def test_config_dataclasses_apply_the_config_type_rule(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        cls(**{field: value})
+
+
+def test_config_dataclasses_accept_numpy_scalars():
+    assert TrainConfig(epochs=np.int64(3), lr_init=np.float32(0.5)).epochs == 3
+    assert SynthSpec(nations=np.int32(1), p_family=np.float64(0.5)).nations == 1
 
 
 def test_load_corpus_replaces_invalid_utf8(tmp_path):

@@ -255,6 +255,30 @@ def test_vocabulary_rejects_missing_fields(tmp_path):
         load_vocabulary(path)
 
 
+@pytest.mark.parametrize(
+    "entries, corpus_docs, max_size, message",
+    [
+        ((("", 1),), 3, 5, "non-empty"),
+        ((("a", 0),), 3, 5, "document frequency 0"),
+        ((("a", 4),), 3, 5, "document frequency 4"),
+        ((("a", 1),), 3, 0, "max_size must be >= 1"),
+        ((("a", 1), ("b", 1)), 3, 1, "2 entries exceed max_size 1"),
+    ],
+)
+def test_vocabulary_checks_itself_when_built(entries, corpus_docs, max_size, message):
+    with pytest.raises(ValueError, match=message):
+        Vocabulary(entries, corpus_docs, max_size)
+
+
+@pytest.mark.parametrize(
+    "entries, corpus_docs, max_size",
+    [((("a", 1.0),), 3, 5), (((1, 1),), 3, 5), ((("a", 1),), True, 5), ((("a", 1),), 3, "5")],
+)
+def test_vocabulary_type_checks_library_built_values(entries, corpus_docs, max_size):
+    with pytest.raises(TypeError, match="integers"):
+        Vocabulary(entries, corpus_docs, max_size)
+
+
 # --- matrix file format ---
 
 

@@ -113,14 +113,6 @@ def test_forward_hand_computed_softmax():
     assert np.allclose(probs, [0.8808, 0.1192], atol=1e-4)
 
 
-def test_forward_infer_ignores_dropout_rate():
-    m = init_model(ArchSpec((4, 3, 2)), seed=1)
-    x = np.ones(4)
-    _, p1 = forward(m, x, mode="infer", dropout_rate=0.5)
-    _, p2 = forward(m, x, mode="infer", dropout_rate=0.5)
-    assert np.array_equal(p1, p2)
-
-
 def test_forward_batch_matches_single():
     m = init_model(ArchSpec((5, 4, 3)), seed=2)
     rng = np.random.default_rng(0)
@@ -158,18 +150,6 @@ def test_forward_rejects_non_finite():
         forward(m, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
-def test_forward_train_requires_rng():
-    m = init_model(ArchSpec((4, 3, 2)), seed=0)
-    with pytest.raises(ValueError, match="rng"):
-        forward(m, np.ones(4), mode="train")
-
-
-def test_forward_rejects_unknown_mode():
-    m = init_model(ArchSpec((4, 3, 2)), seed=0)
-    with pytest.raises(ValueError, match="mode"):
-        forward(m, np.ones(4), mode="test")
-
-
 def test_penultimate_activations_width_and_relu():
     m = init_model(ArchSpec((3, 2, 2)), seed=0)
     m.weights[0] = np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]], dtype=np.float32)
@@ -198,7 +178,7 @@ def test_inverted_dropout_preserves_expectation():
     h_infer = infer_acts[1]
     reps = np.tile(x, (100_000, 1))
     rng = np.random.default_rng(42)
-    train_acts, _ = forward(m, reps, mode="train", rng=rng, dropout_rate=0.5)
+    train_acts, _ = _forward_pass(m.weights, m.biases, reps, rng=rng, dropout_rate=0.5)
     mean_h = train_acts[1].mean(axis=0)
     assert np.allclose(mean_h, h_infer, rtol=0.02, atol=1e-6)
 
@@ -208,7 +188,7 @@ def test_input_noise_preserves_scaled_expectation():
     x = np.array([0.5, 1.0, -0.3, 2.0], dtype=np.float32)
     reps = np.tile(x, (100_000, 1))
     rng = np.random.default_rng(42)
-    train_acts, _ = forward(m, reps, mode="train", rng=rng, input_noise_rate=0.2)
+    train_acts, _ = _forward_pass(m.weights, m.biases, reps, rng=rng, input_noise_rate=0.2)
     mean_input = train_acts[0].mean(axis=0)
     assert np.allclose(mean_input, 0.8 * x, rtol=0.02, atol=1e-6)
 
@@ -217,7 +197,7 @@ def test_input_noise_zeroes_only():
     m = init_model(ArchSpec((4, 3, 2)), seed=0)
     x = np.ones((200, 4), dtype=np.float32)
     rng = np.random.default_rng(3)
-    acts, _ = forward(m, x, mode="train", rng=rng, input_noise_rate=0.5)
+    acts, _ = _forward_pass(m.weights, m.biases, x, rng=rng, input_noise_rate=0.5)
     assert set(np.unique(acts[0])) <= {0.0, 1.0}
 
 
@@ -431,7 +411,7 @@ def test_layer0_matches_dense_reference(case):
         model, x, y, 0.1, np.random.default_rng(9), **regs
     )
     acts, caches = _forward_pass(
-        model.weights, model.biases, x, train=True, rng=np.random.default_rng(9), **regs
+        model.weights, model.biases, x, rng=np.random.default_rng(9), **regs
     )
     assert caches[0][1] == sparse
     for a, ref in zip(acts, ref_acts):
@@ -700,6 +680,12 @@ def test_gradient_check_guards_large_arch():
         gradient_check(
             ArchSpec((4, 4, 4, 4, 4, 4)), seed=0, sample=(np.ones(4), 0)
         )
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_gradient_check_rejects_a_label_outside_the_classes(label):
+    with pytest.raises(ValueError, match="label"):
+        gradient_check(ArchSpec((4, 3, 2)), seed=0, sample=(np.ones(4), label))
 
 
 def test_gradient_check_epsilon_guard():
