@@ -17,8 +17,17 @@ set are never read. Every other batch takes the dense x @ W0. The layer-0
 weight gradient is never formed whole: a train step updates W0 in row blocks
 of at most BLOCK_BYTES, over the batch's set columns on the sparse path or
 all rows on the dense one, and rows outside those columns are left as they
-are. The two paths differ only in float32 summation order. Backprop stops at
-the lowest trainable layer.
+are. The two paths differ only in float32 summation order. Integer rows (a
+uint8 feature matrix) enter layer 0 as they are: the row-sparse path casts
+each row's set values alone, and only the dense path casts the batch, once,
+so evaluate and penultimate_activations never hold a float copy of the
+whole input.
+
+Backprop (_backward_pass) is one loop that hands each trainable layer's
+gradient over as soon as the gradient passed below it is formed, and
+train_step applies it in place and drops it, so a step holds one layer's
+gradient at a time. Backprop stops at the lowest trainable layer, and a
+frozen layer above it passes the gradient down without forming its own.
 
 init_model is the one place weights are drawn: transfer.replace_head takes a
 new head from it and gradient_check widens its weights to float64. Its draws,
@@ -107,14 +116,6 @@ class MlpModel:
     biases: list[np.ndarray]
     trainable: list[bool]
 
-    def clone(self) -> "MlpModel":
-        return MlpModel(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            trainable=list(self.trainable),
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -200,18 +201,19 @@ def _row_sparse(w0: np.ndarray, x: np.ndarray) -> bool:
 
 
 def _layer0(w0: np.ndarray, b0: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Layer-0 pre-activation; returns (z, sparse).
+    """Layer-0 pre-activation in w0's dtype; returns (z, sparse).
 
-    On the row-sparse path (sparse is True, see _row_sparse) each row is
-    multiplied by the rows of w0 at its nonzero columns only; the values need
-    not be binary. Otherwise z is the dense x @ w0 + b0.
+    On the row-sparse path (sparse is True, see _row_sparse) each row's
+    nonzero values, cast to w0's dtype, are multiplied by the rows of w0 at
+    those columns only; the values need not be binary. Otherwise z is the
+    dense x @ w0 + b0, with x cast once. x may hold integers.
     """
     if not _row_sparse(w0, x):
-        return x @ w0 + b0, False
-    z = np.empty((x.shape[0], w0.shape[1]), dtype=np.result_type(x, w0))
+        return np.asarray(x, dtype=w0.dtype) @ w0 + b0, False
+    z = np.empty((x.shape[0], w0.shape[1]), dtype=w0.dtype)
     for i, row in enumerate(x):
         idx = np.flatnonzero(row)
-        np.matmul(row[idx], w0[idx], out=z[i])
+        np.matmul(np.asarray(row[idx], dtype=w0.dtype), w0[idx], out=z[i])
     z += b0
     return z, True
 
@@ -219,15 +221,16 @@ def _layer0(w0: np.ndarray, b0: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, 
 def _w0_grad_blocks(x: np.ndarray, dz: np.ndarray, sparse: bool):
     """Yield (rows, gradient of those W0 rows) in blocks of at most BLOCK_BYTES.
 
-    x is layer 0's post-noise input and dz its pre-activation gradient. The
-    blocks cover the columns x sets on the sparse path and all rows on the
-    dense one; every other row's gradient is exactly zero.
+    x is layer 0's post-noise input, integer rows allowed, and dz its
+    pre-activation gradient. The blocks cover the columns x sets on the
+    sparse path and all rows on the dense one; every other row's gradient is
+    exactly zero.
     """
     cols = np.flatnonzero(x.any(axis=0)) if sparse else None
     n_rows = x.shape[1] if cols is None else cols.size
     for s in _row_blocks(n_rows, dz.itemsize * dz.shape[1]):
         rows = s if cols is None else cols[s]
-        yield rows, x[:, rows].T @ dz
+        yield rows, np.asarray(x[:, rows], dtype=dz.dtype).T @ dz
 
 
 def _forward_pass(
@@ -239,21 +242,23 @@ def _forward_pass(
     dropout_rate: float = 0.0,
     input_noise_rate: float = 0.0,
 ):
-    """Batched forward pass of a0, cast to the weights' dtype; returns (activations, caches).
+    """Batched forward pass of the array a0; returns (activations, caches).
 
-    A positive input_noise_rate zeroes each input coordinate with that
-    probability, and a positive dropout_rate applies inverted dropout after
-    each hidden ReLU; either needs a seeded rng. caches[0] is layer 0's
-    (post-noise input, sparse) with sparse the path _layer0 took. caches[l]
-    for each hidden node-layer l is (pre-dropout ReLU output, dropout
-    multiplier or None); the multipliers are what backprop needs to route
-    gradients through inverted dropout.
+    Every layer computes in the weights' dtype. A positive input_noise_rate
+    zeroes each input coordinate with that probability, and a positive
+    dropout_rate applies inverted dropout after each hidden ReLU; either
+    needs a seeded rng. Noise makes the input a new array in the weights'
+    dtype; without it, a0 reaches _layer0 as it is, integer rows included.
+    acts[0] and caches[0][0] are that (post-noise) input, and caches[0][1]
+    is the path _layer0 took. caches[l] for each hidden node-layer l is
+    (pre-dropout ReLU output, dropout multiplier or None); the multipliers
+    are what backprop needs to route gradients through inverted dropout.
     """
     if (dropout_rate > 0.0 or input_noise_rate > 0.0) and rng is None:
         raise ValueError("dropout or input noise requires a seeded rng")
-    a = np.asarray(a0, dtype=weights[0].dtype)
+    a = a0
     if input_noise_rate > 0.0:
-        a = a * (rng.random(a.shape) >= input_noise_rate)
+        a = np.multiply(a0, rng.random(a0.shape) >= input_noise_rate, dtype=weights[0].dtype)
     z, sparse = _layer0(weights[0], biases[0], a)
     acts = [a]
     caches = [(a, sparse)]
@@ -279,33 +284,35 @@ def _backward_pass(
     acts: Sequence[np.ndarray],
     caches: Sequence[tuple],
     labels: np.ndarray,
-    lowest: int = 0,
+    trainable: Sequence[bool],
 ):
-    """Gradients of mean cross-entropy for layers >= lowest; returns (grads_w, grads_b, dz).
+    """Backprop of mean cross-entropy; yields (l, grad_w, grad_b) per trainable layer, top down.
 
-    Entries below lowest are None, and nothing below it is computed. dz is
-    the pre-activation gradient of layer lowest. The layer-0 weight gradient
-    is not formed, so grads_w[0] is None: _w0_grad_blocks builds it from dz
-    in row blocks.
+    The one backward loop. A layer's gradients are formed and yielded only
+    once the gradient it passes down, dz @ W[l].T, exists, so the consumer
+    may update W[l] and b[l] in place and drop the gradients before the next
+    layer's are formed: one layer's gradient is alive at a time. Layer 0's
+    weight gradient is never formed whole: its grad_w is its pre-activation
+    gradient dz, from which _w0_grad_blocks builds it in row blocks. A frozen
+    layer yields nothing and forms no gradient of its own, and the loop stops
+    at the lowest trainable layer. Needs at least one trainable layer.
     """
+    lowest = trainable.index(True)
     probs = acts[-1]
     batch = probs.shape[0]
     dz = probs.copy()
     dz[np.arange(batch), labels] -= 1.0
     dz /= np.asarray(batch, dtype=dz.dtype)
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
     for l in range(len(weights) - 1, lowest - 1, -1):
-        if l:
-            grads_w[l] = acts[l].T @ dz
-        grads_b[l] = dz.sum(axis=0)
-        if l > lowest:
-            da = dz @ weights[l].T
-            h, mult = caches[l]
-            if mult is not None:
-                da = da * mult
-            dz = da * (h > 0)
-    return grads_w, grads_b, dz
+        da = dz @ weights[l].T if l > lowest else None
+        if trainable[l]:
+            yield l, (acts[l].T @ dz if l else dz), dz.sum(axis=0)
+        if da is None:
+            return
+        h, mult = caches[l]
+        if mult is not None:
+            da = da * mult
+        dz = da * (h > 0)
 
 
 def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -314,8 +321,8 @@ def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     The one check of rows entering the network. One vector becomes one row.
     Float rows become float32, the dtype the network computes in, before the
     finite check, so a value that overflows float32 is caught. Integer and
-    boolean rows are always finite and keep their dtype, so train holds no
-    float copy of a uint8 matrix; _forward_pass casts each batch.
+    boolean rows are always finite and keep their dtype, so neither train
+    nor inference holds a float copy of a uint8 matrix (see _layer0).
     """
     x = np.asarray(x)
     if x.ndim == 1:
@@ -338,16 +345,29 @@ def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     return x, y
 
 
-def forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Run the network on a vector or batch; returns (node-layer activations, probabilities).
+def _infer(model: MlpModel, x, input_dtype=None) -> list[np.ndarray]:
+    """Inference activations of a vector or batch, input layer first.
 
-    Inference only, so deterministic: no input noise, no dropout.
+    The input layer is the checked rows, cast to input_dtype if one is given;
+    otherwise integer rows stay as they are.
     """
     single = np.ndim(x) == 1
     batch, _ = _inputs(model, x)
+    if input_dtype is not None:
+        batch = batch.astype(input_dtype, copy=False)
     acts, _ = _forward_pass(model.weights, model.biases, batch)
-    if single:
-        acts = [a[0] for a in acts]
+    return [a[0] for a in acts] if single else acts
+
+
+def forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Run the network on a vector or batch; returns (node-layer activations, probabilities).
+
+    Inference only, so deterministic: no input noise, no dropout. Every
+    layer, the input included, comes back in the weights' dtype, so integer
+    rows are cast here, once; evaluate and penultimate_activations do not
+    cast them.
+    """
+    acts = _infer(model, x, model.weights[0].dtype)
     return acts, acts[-1]
 
 
@@ -374,9 +394,13 @@ def train_step(
     """One gradient-descent step on a mini-batch; returns the mean batch loss.
 
     Only layers flagged trainable are updated (biases move with their layer),
-    and backprop stops at the lowest of them. A trainable W0 is updated in
-    row blocks of at most BLOCK_BYTES (see _w0_grad_blocks), so the step holds
-    neither a gathered copy of W0 nor its full-size gradient.
+    and backprop stops at the lowest of them. Each layer is updated in place
+    as backprop reaches it and its gradient dropped before the next layer's
+    is formed, so the step holds one layer's gradient at a time; the result
+    is the same, bit for bit, as updating every layer after a full backward
+    pass. A trainable W0 is updated in row blocks of at most BLOCK_BYTES
+    (see _w0_grad_blocks), so the step holds neither a gathered copy of W0
+    nor its full-size gradient.
     """
     x, y = _inputs(model, batch_x, batch_y)
     if x.shape[0] == 0:
@@ -393,23 +417,21 @@ def train_step(
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], PROB_FLOOR))))
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss}")
-    trainable = [l for l, flag in enumerate(model.trainable) if flag]
-    if lr == 0.0 or not trainable:
+    if lr == 0.0 or not any(model.trainable):
         return loss
-    grads_w, grads_b, dz = _backward_pass(model.weights, acts, caches, y, lowest=trainable[0])
     lr32 = np.float32(lr)
-    for l in trainable:
+    x0, sparse = caches[0]
+    for l, grad_w, grad_b in _backward_pass(model.weights, acts, caches, y, model.trainable):
         if l:
-            np.multiply(grads_w[l], lr32, out=grads_w[l])
-            model.weights[l] -= grads_w[l]
-        np.multiply(grads_b[l], lr32, out=grads_b[l])
-        model.biases[l] -= grads_b[l]
-    if model.trainable[0]:
-        w0 = model.weights[0]
-        x0, sparse = caches[0]
-        for rows, g in _w0_grad_blocks(x0, dz, sparse):
-            g *= lr32
-            w0[rows] -= g
+            grad_w *= lr32
+            model.weights[l] -= grad_w
+        else:
+            for rows, g in _w0_grad_blocks(x0, grad_w, sparse):
+                g *= lr32
+                model.weights[0][rows] -= g
+        grad_b *= lr32
+        model.biases[l] -= grad_b
+        del grad_w, grad_b  # before backprop forms the next layer's
     return loss
 
 
@@ -481,8 +503,7 @@ def evaluate(model: MlpModel, data_x: np.ndarray, data_y: np.ndarray) -> EvalRes
 
 def penultimate_activations(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Infer-mode activations of the last hidden node-layer (post-ReLU)."""
-    acts, _ = forward(model, x)
-    return acts[-2]
+    return _infer(model, x)[-2]
 
 
 def gradient_check(
@@ -518,28 +539,31 @@ def gradient_check(
         return float(-np.log(max(acts[-1][0, label], PROB_FLOOR)))
 
     acts, caches = _forward_pass(weights, biases, x)
-    grads_w, grads_b, dz = _backward_pass(weights, acts, caches, y)
-    grads_w[0] = np.zeros_like(weights[0])
     x0, sparse = caches[0]
-    for rows, g in _w0_grad_blocks(x0, dz, sparse):
-        grads_w[0][rows] = g
+    checks = []
+    for l, grad_w, grad_b in _backward_pass(weights, acts, caches, y, [True] * len(weights)):
+        if not l:
+            dz = grad_w
+            grad_w = np.zeros_like(weights[0])
+            for rows, g in _w0_grad_blocks(x0, dz, sparse):
+                grad_w[rows] = g
+        checks += [(weights[l], grad_w), (biases[l], grad_b)]
 
     max_rel = 0.0
-    for params, grads in ((weights, grads_w), (biases, grads_b)):
-        for arr, grad in zip(params, grads):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                plus = loss_at()
-                flat[i] = orig - epsilon
-                minus = loss_at()
-                flat[i] = orig
-                numeric = (plus - minus) / (2.0 * epsilon)
-                analytic = gflat[i]
-                denom = max(abs(analytic) + abs(numeric), 1e-12)
-                max_rel = max(max_rel, abs(analytic - numeric) / denom)
+    for arr, grad in checks:
+        flat = arr.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            plus = loss_at()
+            flat[i] = orig - epsilon
+            minus = loss_at()
+            flat[i] = orig
+            numeric = (plus - minus) / (2.0 * epsilon)
+            analytic = gflat[i]
+            denom = max(abs(analytic) + abs(numeric), 1e-12)
+            max_rel = max(max_rel, abs(analytic - numeric) / denom)
     return max_rel
 
 

@@ -34,6 +34,15 @@ def _model_bytes(model):
     return b"".join(w.tobytes() + b.tobytes() for w, b in zip(model.weights, model.biases))
 
 
+def _copy_model(model):
+    return MlpModel(
+        arch=model.arch,
+        weights=[w.copy() for w in model.weights],
+        biases=[b.copy() for b in model.biases],
+        trainable=list(model.trainable),
+    )
+
+
 # --- ArchSpec / init_model ---
 
 
@@ -313,13 +322,31 @@ def _full_w0_grad(w0, caches, dz):
     return full
 
 
+def _all_gradients(weights, acts, caches, labels):
+    """Every layer's weight and bias gradient, collected from _backward_pass."""
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    for l, grad_w, grad_b in _backward_pass(weights, acts, caches, labels, [True] * len(weights)):
+        grads_w[l] = grad_w if l else _full_w0_grad(weights[0], caches, grad_w)
+        grads_b[l] = grad_b
+    return grads_w, grads_b
+
+
 def test_zero_weights_zero_input_give_zero_weight_gradients():
     weights = [np.zeros((3, 2)), np.zeros((2, 2))]
     biases = [np.zeros(2), np.zeros(2)]
     acts, caches = _forward_pass(weights, biases, np.zeros((1, 3)))
-    grads_w, _, dz = _backward_pass(weights, acts, caches, np.array([0]))
-    assert not _full_w0_grad(weights[0], caches, dz).any()
+    grads_w, _ = _all_gradients(weights, acts, caches, np.array([0]))
+    assert not grads_w[0].any()
     assert not grads_w[1].any()
+
+
+def test_backward_pass_yields_only_trainable_layers_top_down():
+    m = init_model(ArchSpec((5, 4, 4, 3)), seed=0)
+    acts, caches = _forward_pass(m.weights, m.biases, np.ones((2, 5), dtype=np.float32))
+    y = np.array([0, 2])
+    for trainable, layers in (([True, False, True], [2, 0]), ([False, True, False], [1])):
+        got = [l for l, _, _ in _backward_pass(m.weights, acts, caches, y, trainable)]
+        assert got == layers
 
 
 # --- row-sparse layer 0 against the dense reference ---
@@ -358,7 +385,7 @@ def _dense_reference_step(model, x, y, lr, rng, dropout_rate, input_noise_rate):
         if l > 0:
             h, mult = hidden[l - 1]
             dz = (dz @ w[l].T) * mult * (h > 0)
-    updated = model.clone()
+    updated = _copy_model(model)
     for l in range(len(w)):
         if updated.trainable[l]:
             updated.weights[l] -= np.float32(lr) * grads_w[l]
@@ -416,12 +443,11 @@ def test_layer0_matches_dense_reference(case):
     assert caches[0][1] == sparse
     for a, ref in zip(acts, ref_acts):
         _assert_rel_close(a, ref)
-    grads_w, grads_b, dz = _backward_pass(model.weights, acts, caches, y)
-    grads_w[0] = _full_w0_grad(model.weights[0], caches, dz)
+    grads_w, grads_b = _all_gradients(model.weights, acts, caches, y)
     for g, ref in zip(grads_w + grads_b, ref_gw + ref_gb):
         _assert_rel_close(g, ref)
 
-    stepped = model.clone()
+    stepped = _copy_model(model)
     train_step(stepped, x, y, 0.1, rng=np.random.default_rng(9), **regs)
     for w, ref in zip(stepped.weights + stepped.biases, ref_model.weights + ref_model.biases):
         _assert_rel_close(w, ref)
@@ -457,6 +483,123 @@ def test_train_step_holds_no_full_size_w0_buffer():
         lambda: train_step(model, x, y, 0.01, dropout_rate=0.5, input_noise_rate=0.2, rng=rng)
     )
     assert peak <= 0.2 * model.weights[0].nbytes
+
+
+# --- fused backprop-and-update step against the two-phase step ---
+
+
+def _two_phase_step(model, x, y, lr, rng, dropout_rate, input_noise_rate):
+    """The step before fusion: a full backward pass into gradient lists, then every update.
+
+    x must already be float32 rows, as the two-phase step cast every batch.
+    """
+    w = model.weights
+    acts, caches = _forward_pass(
+        w, model.biases, x, rng=rng, dropout_rate=dropout_rate, input_noise_rate=input_noise_rate
+    )
+    trainable = [l for l, flag in enumerate(model.trainable) if flag]
+    probs = acts[-1]
+    dz = probs.copy()
+    dz[np.arange(len(y)), y] -= 1.0
+    dz /= np.asarray(len(y), dtype=dz.dtype)
+    grads_w, grads_b = [None] * len(w), [None] * len(w)
+    for l in range(len(w) - 1, trainable[0] - 1, -1):
+        if l:
+            grads_w[l] = acts[l].T @ dz
+        grads_b[l] = dz.sum(axis=0)
+        if l > trainable[0]:
+            da = dz @ w[l].T
+            h, mult = caches[l]
+            if mult is not None:
+                da = da * mult
+            dz = da * (h > 0)
+    lr32 = np.float32(lr)
+    for l in trainable:
+        if l:
+            np.multiply(grads_w[l], lr32, out=grads_w[l])
+            w[l] -= grads_w[l]
+        np.multiply(grads_b[l], lr32, out=grads_b[l])
+        model.biases[l] -= grads_b[l]
+    if model.trainable[0]:
+        for rows, g in _w0_grad_blocks(caches[0][0], dz, caches[0][1]):
+            g *= lr32
+            w[0][rows] -= g
+
+
+_FUSED_RNG = np.random.default_rng(23)
+# (rows, layer-0 path, frozen layers, input noise rate)
+_FUSED_CASES = {
+    "sparse": (_sparse_batch(_FUSED_RNG, 8, 3000, 0.015), True, (), 0.2),
+    "dense": (_sparse_batch(_FUSED_RNG, 8, 3000, 0.3), False, (), 0.2),
+    "frozen layer 0": (_sparse_batch(_FUSED_RNG, 8, 3000, 0.015), True, (0,), 0.2),
+    "frozen hidden layer": (_sparse_batch(_FUSED_RNG, 8, 3000, 0.015), True, (1,), 0.2),
+    "uint8 sparse, no noise": (_sparse_batch(_FUSED_RNG, 8, 3000, 0.015), True, (), 0.0),
+    "uint8 dense, no noise": (_sparse_batch(_FUSED_RNG, 8, 3000, 0.3), False, (), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_fused_step_matches_the_two_phase_step_bit_for_bit(case):
+    x, sparse, frozen, noise = _FUSED_CASES[case]
+    rows = x.astype(np.uint8) if case.startswith("uint8") else x
+    y = np.arange(len(x)) % 3
+    model = init_model(_L0_ARCH, seed=4)
+    model.biases = [np.full_like(b, 0.05) for b in model.biases]
+    for l in frozen:
+        model.trainable[l] = False
+    ref = _copy_model(model)
+    regs = dict(dropout_rate=0.3, input_noise_rate=noise)
+    assert _layer0(model.weights[0], model.biases[0], rows)[1] == sparse
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(3):
+        train_step(model, rows, y, 0.1, rng=rng, **regs)
+        _two_phase_step(ref, x, y, 0.1, ref_rng, **regs)
+        assert _model_bytes(model) == _model_bytes(ref)
+    assert rng.random() == ref_rng.random()
+
+
+def test_train_step_holds_one_layer_gradient_at_a_time():
+    model = init_model(ArchSpec((256, 512, 512, 512, 512, 4)), seed=0)
+    x = _sparse_batch(np.random.default_rng(1), 8, 256, 0.2)
+    y = np.arange(8) % 4
+    rng = np.random.default_rng(2)
+    grad_bytes = sum(w.nbytes for w in model.weights)
+    peak = _peak_traced_bytes(
+        lambda: train_step(model, x, y, 0.01, dropout_rate=0.5, input_noise_rate=0.2, rng=rng)
+    )
+    assert peak < grad_bytes / 2
+    assert peak < 1.5 * max(w.nbytes for w in model.weights)
+
+
+# --- integer rows at inference ---
+
+
+@pytest.mark.parametrize("density, sparse", [(0.015, True), (0.3, False)])
+def test_forward_on_uint8_rows_matches_float32_rows_bit_for_bit(density, sparse):
+    model = init_model(_L0_ARCH, seed=4)
+    model.biases = [np.full_like(b, 0.05) for b in model.biases]
+    x = _sparse_batch(np.random.default_rng(5), 12, 3000, density)
+    rows = x.astype(np.uint8)
+    assert _layer0(model.weights[0], model.biases[0], rows)[1] == sparse
+    acts, probs = forward(model, rows)
+    ref_acts, ref_probs = forward(model, x)
+    assert all(a.dtype == np.float32 and a.tobytes() == r.tobytes() for a, r in zip(acts, ref_acts))
+    assert probs.tobytes() == ref_probs.tobytes()
+    y = np.arange(12) % 3
+    got, ref = evaluate(model, rows, y), evaluate(model, x, y)
+    assert got.probabilities.tobytes() == ref.probabilities.tobytes()
+    assert (got.predictions == ref.predictions).all()
+    assert penultimate_activations(model, rows).tobytes() == acts[-2].tobytes()
+
+
+def test_row_sparse_inference_never_casts_the_whole_input():
+    model = init_model(_L0_ARCH, seed=4)
+    assert model.weights[0].nbytes > BLOCK_BYTES
+    rows = _sparse_batch(np.random.default_rng(6), 200, 3000, 0.015).astype(np.uint8)
+    y = np.arange(200) % 3
+    assert _layer0(model.weights[0], model.biases[0], rows)[1]
+    assert _peak_traced_bytes(evaluate, model, rows, y) < rows.size * 4
+    assert _peak_traced_bytes(penultimate_activations, model, rows) < rows.size * 4
 
 
 def test_frozen_trunk_head_matches_full_backward():
@@ -775,11 +918,3 @@ def test_model_rejects_trailing_bytes(tmp_path):
     with pytest.raises(ValueError, match="trailing"):
         load_model(path)
 
-
-def test_model_clone_is_independent():
-    m = init_model(ArchSpec((4, 3, 2)), seed=0)
-    c = m.clone()
-    c.weights[0][0, 0] += 1.0
-    c.trainable[0] = False
-    assert m.weights[0][0, 0] != c.weights[0][0, 0]
-    assert m.trainable[0] is True
