@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, fields
 from pathlib import Path, PurePath
 from typing import Iterable
@@ -168,12 +170,19 @@ def _check_fields(config) -> None:
         _check_setting(name, kind, getattr(config, name))
 
 
+def _resolves_under(real_root: str, path: str) -> bool:
+    """Whether path, with every symlink followed, lies in the resolved directory real_root."""
+    return os.path.commonpath((real_root, os.path.realpath(path))) == real_root
+
+
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus from a JSON Lines manifest; report paths are relative to it."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise CorpusError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
+    real_base = os.path.realpath(base)
+    folder_inside: dict[str, bool] = {}
     reports: list[LabeledReport] = []
     # bytes.splitlines breaks at \n, \r\n and \r, as text-mode line reading does.
     for lineno, line in enumerate(manifest_path.read_bytes().splitlines(), start=1):
@@ -196,11 +205,30 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         path = PurePath(entry["path"])
         if path.is_absolute() or ".." in path.parts:
             raise CorpusError(f"{where}: path {_show(str(path))} leaves the manifest's directory")
-        report_path = base / path
-        if not report_path.is_file():
+        report_path = os.path.join(base, path)
+        # A symlink can still lead out: each report's folder is resolved once,
+        # and a report that is itself a symlink is resolved on its own.
+        folder = os.path.dirname(report_path)
+        if folder not in folder_inside:
+            folder_inside[folder] = _resolves_under(real_base, folder)
+        try:
+            mode = os.lstat(report_path).st_mode
+        except OSError:
+            mode = 0
+        if stat.S_ISLNK(mode):
+            inside = _resolves_under(real_base, report_path)
+            regular = os.path.isfile(report_path)
+        else:
+            inside, regular = folder_inside[folder], stat.S_ISREG(mode)
+        if not inside:
+            raise CorpusError(
+                f"{where}: path {_show(str(path))} resolves outside the manifest's directory"
+            )
+        if not regular:
             raise CorpusError(f"{where}: report file not found: {report_path}")
         # Non-UTF-8 bytes become replacement chars, which tokenize as delimiters.
-        text = report_path.read_text(encoding="utf-8", errors="replace")
+        with open(report_path, encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
         reports.append(
             LabeledReport(
                 id=entry["id"],

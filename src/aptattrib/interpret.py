@@ -4,11 +4,13 @@ Importance follows the connection-weights idea: multiply the weight matrices
 straight through (biases and nonlinearities excluded) so entry [i, c] sums
 the products of edge weights over every input-i to class-c path. The
 embedding is exact O(n^2) t-SNE driven by the penultimate layer's
-activations. It runs in row blocks of at most network.BLOCK_BYTES, the
-budget init_model's draws also use: the bandwidth search bisects a block of
-points at once, and each iteration fills one n x n Student-t kernel in
-place, then takes Q, the gradient and the KL from it a block at a time, so
-its memory is P plus that kernel.
+activations, in pieces of at most network.BLOCK_BYTES, the budget
+init_model's draws also use. The bandwidth search bisects a row block of
+points at once. Each iteration is one sweep over the TILE x TILE tiles on
+and above the diagonal: P and the Student-t kernel are symmetric, so each
+pair's kernel is formed once and gives the KL, the normalizer z and both
+gradient terms of the pair and its mirror. An iteration holds P and two
+tile buffers.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import html
 from dataclasses import dataclass, field
+from math import isqrt
 from pathlib import Path
 from typing import Sequence
 
@@ -23,9 +26,11 @@ import numpy as np
 
 from .corpus import _check_fields
 from .featurize import Vocabulary
-from .network import MlpModel, _row_blocks, penultimate_activations
+from .network import BLOCK_BYTES, MlpModel, _row_blocks, penultimate_activations
 
 P_FLOOR = 1e-12
+# Side of a t-SNE tile: TILE x TILE float64 pairs fill one block.
+TILE = isqrt(BLOCK_BYTES // 8)
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
 SVG_MARGIN = 20
@@ -220,58 +225,111 @@ def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
 
 
 class _TsneIteration:
-    """Exact t-SNE iterations in row blocks, buffers allocated once.
+    """Exact t-SNE iterations in one sweep over the upper-triangle tiles.
 
-    Holds P, one n x n Student-t kernel and two row-block buffers; no other
-    n x n array is made per iteration. grad keeps the last step's gradient.
+    P and the Student-t kernel are symmetric, so each pair's kernel is formed
+    once, in the tile (a, b) with a <= b, and an off-diagonal tile counts
+    twice. A tile is at most TILE x TILE pairs, one block of BLOCK_BYTES, in a
+    flat buffer reshaped to the tile (a slice of a square buffer would be
+    strided). Holds P and two tile buffers; no other n x n array is made.
+    grad keeps the last step's gradient.
     """
 
     def __init__(self, p: np.ndarray):
         n = p.shape[0]
         self.p = p
-        self.blocks = list(_row_blocks(n, 8 * n))
-        rows = self.blocks[0].stop
-        self.num = np.empty((n, n))
-        self.q_buf = np.empty((rows, n))
-        self.pq_buf = np.empty((rows, n))
+        self.tiles = list(_row_blocks(n, 8 * TILE))  # TILE rows of TILE float64 each
+        self.k_buf = np.empty(TILE * TILE)
+        self.t_buf = np.empty(TILE * TILE)
         self.grad = np.empty((n, 2))
+        self.p_sum = float(p.sum())
+        self.p_trace = float(np.trace(p))
         self.p_log_p = 0.0
-        for s in self.blocks:
-            log_p = np.log(p[s], out=self.q_buf[: s.stop - s.start])
-            self.p_log_p += float(np.dot(p[s].ravel(), log_p.ravel()))
+        for a, b, w in self._pairs():
+            log_p = np.log(p[a, b], out=self._tile(self.t_buf, a, b))
+            self.p_log_p += w * float(np.einsum("ij,ij->", p[a, b], log_p))
+
+    def _pairs(self):
+        """Yield (a, b, w) for each tile with a <= b; w = 2 counts its mirror tile."""
+        for i, a in enumerate(self.tiles):
+            for b in self.tiles[i:]:
+                yield a, b, 1.0 if a == b else 2.0
+
+    @staticmethod
+    def _tile(buf: np.ndarray, a: slice, b: slice) -> np.ndarray:
+        rows, cols = a.stop - a.start, b.stop - b.start
+        return buf[: rows * cols].reshape(rows, cols)
+
+    def _kernel(self, left, right, a: slice, b: slice) -> np.ndarray:
+        """k = 1 + |y_i - y_j|^2 for the tile (a, b), in k_buf; 1 on the diagonal."""
+        k = np.matmul(left[a], right[b].T, out=self._tile(self.k_buf, a, b))
+        # the clamp at 1 drops the negative distances that rounding can leave
+        np.maximum(k, 1.0, out=k)
+        if a == b:
+            np.fill_diagonal(k, 1.0)
+        return k
+
+    @staticmethod
+    def _pull(m, y1, a: slice, b: slice, acc) -> None:
+        """Add m @ y1[b] to acc's rows a and, off the diagonal, m.T @ y1[a] to rows b."""
+        acc[a] += m @ y1[b]
+        if a != b:
+            acc[b] += m.T @ y1[a]
 
     def __call__(self, y, update, factor: float, momentum: float, step_size: float):
         """One gradient step on KL(factor * P || Q); returns (y, update, KL(P || Q) at y)."""
-        p, num, grad = self.p, self.num, self.grad
-        # Pass 1: num = 1 / (1 + |y_i - y_j|^2) with a zero diagonal, and its sum z.
-        # left[i] . right[j] + sq[j] is 1 + sq[i] - 2 y_i . y_j + sq[j]; the clamp
-        # at 1 drops the negative distances that rounding can leave.
+        p, grad, n = self.p, self.grad, len(y)
+        # left[i] . right[j] is 1 + sq[i] - 2 y_i . y_j + sq[j]
         sq = (y * y).sum(axis=1)
-        left = np.column_stack((-2.0 * y, sq + 1.0))
-        right = np.column_stack((y, np.ones(len(y))))
-        z = 0.0
-        for s in self.blocks:
-            k = num[s]
-            np.matmul(left[s], right.T, out=k)
-            k += sq
-            np.maximum(k, 1.0, out=k)
-            np.reciprocal(k, out=k)
-            k[np.arange(s.stop - s.start), np.arange(s.start, s.stop)] = 0.0
-            z += k.sum()
-        # Pass 2: Q, the gradient rows and sum(P log Q), a row block at a time.
-        p_log_q = 0.0
-        for s in self.blocks:
-            b = s.stop - s.start
-            q, pq = self.q_buf[:b], self.pq_buf[:b]
-            np.divide(num[s], z, out=q)
-            np.maximum(q, P_FLOOR, out=q)
-            np.multiply(p[s], factor, out=pq)
-            pq -= q
-            np.log(q, out=q)
-            p_log_q += float(np.dot(p[s].ravel(), q.ravel()))
-            pq *= num[s]
-            np.multiply(pq.sum(axis=1)[:, None], y[s], out=grad[s])
-            grad[s] -= pq @ y
+        ones = np.ones(n)
+        left = np.column_stack((-2.0 * y, sq + 1.0, ones))
+        right = np.column_stack((y, ones, sq))
+        y1 = right[:, :3]
+        # att and rep gather (P * num) @ [y, 1] and (num * num) @ [y, 1]: the
+        # products and, in the last column, the row sums.
+        att = np.zeros((n, 3))
+        rep = np.zeros((n, 3))
+        z = p_log_k = 0.0
+        k_max = []
+        for a, b, w in self._pairs():
+            k = self._kernel(left, right, a, b)
+            k_max.append(float(k.max()))
+            log_k = np.log(k, out=self._tile(self.t_buf, a, b))
+            p_log_k += w * float(np.einsum("ij,ij->", p[a, b], log_k))
+            num = np.reciprocal(k, out=k)
+            if a == b:
+                np.fill_diagonal(num, 0.0)
+            z += w * float(num.sum())
+            self._pull(np.multiply(p[a, b], num, out=log_k), y1, a, b, att)
+            self._pull(np.multiply(num, num, out=num), y1, a, b, rep)
+        # Q = num / z off the diagonal and P_FLOOR on it, so
+        # sum(P log Q) = -sum(P log k) - log z (sum P - tr P) + tr P log P_FLOOR
+        p_log_q = -p_log_k - np.log(z) * (self.p_sum - self.p_trace)
+        p_log_q += self.p_trace * np.log(P_FLOOR)
+        # A pair with num / z below P_FLOOR has Q floored at P_FLOOR: its log Q
+        # is log P_FLOOR and its repulsion P_FLOOR * num, not num^2 / z. Only
+        # a tile whose largest k exceeds 1 / (P_FLOOR z) can hold one.
+        for (a, b, w), most in zip(self._pairs(), k_max):
+            if most * P_FLOOR * z <= 1.0:
+                continue
+            k = self._kernel(left, right, a, b)
+            num = np.reciprocal(k, out=self._tile(self.t_buf, a, b))
+            floored = np.less(num, z * P_FLOOR)
+            if a == b:
+                np.fill_diagonal(floored, False)
+            log_gap = np.log(k, out=k)
+            log_gap += np.log(z * P_FLOOR)
+            np.multiply(log_gap, floored, out=log_gap)
+            p_log_q += w * float(np.einsum("ij,ij->", p[a, b], log_gap))
+            # rep is divided by z below, so a floored pair adds z P_FLOOR num - num^2
+            np.subtract(z * P_FLOOR, num, out=k)
+            np.multiply(num, k, out=num)
+            self._pull(np.multiply(num, floored, out=num), y1, a, b, rep)
+        # grad = 4 [factor (s_att y - A y) - (s_rep y - R y) / z]
+        np.multiply(att[:, 2:], y, out=grad)
+        grad -= att[:, :2]
+        grad *= factor
+        grad -= (rep[:, 2:] * y - rep[:, :2]) / z
         grad *= 4.0
         update = momentum * update - step_size * grad
         y = y + update
@@ -287,8 +345,8 @@ def tsne_embed(
 
     Gradient descent on KL(P || Q) with early exaggeration and a two-phase
     momentum schedule; the KL trace is recorded each iteration against the
-    true (unexaggerated) P. Memory is P plus one n x n kernel and two
-    row-block buffers (see _TsneIteration).
+    true (unexaggerated) P. The iterations hold P and two tile buffers (see
+    _TsneIteration); building P briefly holds two n x n arrays.
     """
     config = config or TsneConfig()
     x = np.asarray(points, dtype=np.float64)

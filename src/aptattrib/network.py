@@ -55,10 +55,11 @@ from .featurize import FormatError, _check_end, _check_remaining, _read_array, _
 MODEL_MAGIC = b"APTM"
 MODEL_VERSION = 1
 PROB_FLOOR = 1e-12
-# Row-block budget of float64 scratch: init_model's draws, the t-SNE kernels
-# and olden_importance's float64 W0. Summation order, and so the embedding's
-# bits, follows the block size, which is why it is fixed here and not derived
-# from the machine. The init bytes do not depend on it.
+# Block budget of float64 scratch: init_model's draws, the t-SNE bandwidth
+# search and kernel tiles (interpret.TILE is the side of a square block) and
+# olden_importance's float64 W0. Summation order, and so the embedding's bits,
+# follows the block size, which is why it is fixed here and not derived from
+# the machine. The init bytes do not depend on it.
 BLOCK_BYTES = 1 << 19
 # Largest share of set cells at which layer 0 goes row by row. With one BLAS
 # thread and a 20000x2000 W0, the per-row path beats the dense matmul below

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -637,6 +638,18 @@ def test_manifest_path_outside_its_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "v.json"
     assert main(["vocab", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert "leaves the manifest's directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_symlink_outside_its_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "outside.txt").write_text("secret")
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "link.txt").symlink_to(Path("..") / "outside.txt")
+    manifest = tmp_path / "corpus" / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "a", "path": "link.txt"}) + "\n")
+    out = tmp_path / "v.json"
+    assert main(["vocab", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "resolves outside the manifest's directory" in capsys.readouterr().err
     assert not out.exists()
 
 

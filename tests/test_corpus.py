@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +250,39 @@ def test_load_corpus_keeps_report_paths_inside_the_manifest_directory(tmp_path, 
     path.write_text(json.dumps({"id": "a", "path": report_path}) + "\n")
     with pytest.raises(CorpusError, match="line 1: path .* leaves the manifest's directory"):
         load_corpus(path)
+
+
+def _manifest_with_links(tmp_path):
+    """A corpus directory holding a plain report, a link to it, and links that lead out."""
+    (tmp_path / "outside.txt").write_text("outside")
+    (tmp_path / "shared").mkdir()
+    (tmp_path / "shared" / "r.txt").write_text("shared")
+    corpus = tmp_path / "corpus"
+    (corpus / "reports").mkdir(parents=True)
+    (corpus / "reports" / "inside.txt").write_text("inside text")
+    (corpus / "link_in.txt").symlink_to(Path("reports") / "inside.txt")
+    (corpus / "link_out.txt").symlink_to(Path("..") / "outside.txt")
+    (corpus / "dir_out").symlink_to(tmp_path / "shared", target_is_directory=True)
+    return corpus
+
+
+@pytest.mark.parametrize("report_path", ["link_out.txt", "dir_out/r.txt"])
+def test_load_corpus_rejects_a_symlink_that_leads_out(tmp_path, report_path):
+    corpus = _manifest_with_links(tmp_path)
+    path = corpus / "manifest.jsonl"
+    path.write_text(json.dumps({"id": "a", "path": report_path}) + "\n")
+    with pytest.raises(CorpusError, match="line 1: path .* resolves outside the manifest's directory"):
+        load_corpus(path)
+
+
+def test_load_corpus_follows_a_symlink_that_stays_inside(tmp_path):
+    corpus = _manifest_with_links(tmp_path)
+    lines = [{"id": "a", "path": "link_in.txt"}, {"id": "b", "path": "reports/inside.txt"}]
+    (corpus / "manifest.jsonl").write_text("".join(json.dumps(e) + "\n" for e in lines))
+    # a manifest reached through a linked directory is judged by where it resolves
+    (tmp_path / "alias").symlink_to(corpus, target_is_directory=True)
+    for manifest in (corpus / "manifest.jsonl", tmp_path / "alias" / "manifest.jsonl"):
+        assert [r.raw_text for r in load_corpus(manifest).reports] == ["inside text"] * 2
 
 
 def test_load_corpus_shows_at_most_80_characters_of_a_bad_value(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from aptattrib.featurize import Vocabulary
 from aptattrib.interpret import (
     P_FLOOR,
+    TILE,
     Embedding2D,
     TsneConfig,
     _conditional_affinities,
@@ -337,21 +338,51 @@ def test_row_blocks_cover_the_edge_sizes():
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
-@pytest.mark.parametrize("n", sorted(EDGE_SIZES))
+# Point counts whose upper-triangle tiles (TILE = 256 points a side) end:
+# inside one tile, filling exactly one, one point past it, one short of two,
+# filling two, one past two, and a short third tile.
+TILE_EDGE_SIZES = (200, 256, 257, 511, 512, 513, 571)
+
+
+def _assert_step_matches_dense(p, y, update, factor, momentum, rows=slice(None)):
+    step = _TsneIteration(p)
+    y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum, 200.0)
+    y_new, update_new, kl = step(y, update, factor, momentum, 200.0)
+    _assert_close(step.grad[rows], grad_ref[rows], 1e-12)
+    _assert_close(update_new, update_ref, 1e-12)
+    _assert_close(y_new, y_ref, 1e-12)
+    assert abs(kl - kl_ref) <= 1e-12 * abs(kl_ref)
+
+
+@pytest.mark.parametrize("n", sorted(set(EDGE_SIZES) | set(TILE_EDGE_SIZES)))
 def test_blocked_iteration_matches_dense_reference(n):
+    assert TILE == 256, "TILE_EDGE_SIZES follows the tile side"
     p = joint_affinities(_cluster_points(n, seed=n), perplexity=20.0)
     rng = np.random.default_rng(n)
     y = rng.normal(0.0, 5.0, size=(n, 2))
     update = rng.normal(0.0, 0.5, size=(n, 2))
-    step = _TsneIteration(p)
     # before the exaggeration and momentum switch, then after it
     for factor, momentum in ((12.0, 0.5), (1.0, 0.8)):
-        y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum, 200.0)
-        y_new, update_new, kl = step(y, update, factor, momentum, 200.0)
-        _assert_close(step.grad, grad_ref, 1e-12)
-        _assert_close(update_new, update_ref, 1e-12)
-        _assert_close(y_new, y_ref, 1e-12)
-        assert abs(kl - kl_ref) <= 1e-12 * abs(kl_ref)
+        _assert_step_matches_dense(p, y, update, factor, momentum)
+
+
+def test_tiled_iteration_keeps_the_q_floor_exact():
+    n = 513
+    p = joint_affinities(_cluster_points(n, seed=7), perplexity=20.0)
+    rng = np.random.default_rng(7)
+    y = rng.normal(0.0, 5.0, size=(n, 2))
+    far = np.array([3, 200, 260, 400, 512])  # in the first, second and third tiles
+    y[far] = rng.normal(0.0, 1e6, size=(len(far), 2))
+    update = rng.normal(0.0, 0.5, size=(n, 2))
+    num = 1.0 / (1.0 + _dense_squared_distances(y))
+    np.fill_diagonal(num, 0.0)
+    floored = num / num.sum() < P_FLOOR
+    np.fill_diagonal(floored, False)
+    assert floored.sum() > 4000
+    for factor, momentum in ((12.0, 0.5), (1.0, 0.8)):
+        _assert_step_matches_dense(p, y, update, factor, momentum)
+        # the floor's repulsion shows in the far points' own gradient rows
+        _assert_step_matches_dense(p, y, update, factor, momentum, rows=far)
 
 
 def test_tsne_embed_matches_dense_loop_across_the_switch():
@@ -393,7 +424,7 @@ def test_conditional_affinities_cap_at_max_iter_and_ignore_the_diagonal():
         np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
 
 
-def test_tsne_embed_holds_p_and_one_kernel():
+def test_tsne_embed_peaks_in_the_affinities():
     n = 800
     x = _cluster_points(n, seed=1)
     tracemalloc.start()
@@ -402,7 +433,29 @@ def test_tsne_embed_holds_p_and_one_kernel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * n * n * 8
+    # joint_affinities holds the squared distances and the conditional
+    # affinities (2 n x n) and about 4 blocks of search scratch (12.4 MB in
+    # all at n = 800); the iterations hold P and two tiles, less than that.
+    assert peak < 2 * n * n * 8 + 6 * BLOCK_BYTES
+
+
+def test_tsne_iteration_holds_two_tiles_and_o_n():
+    n = 800
+    p = joint_affinities(_cluster_points(n, seed=1), perplexity=20.0)
+    rng = np.random.default_rng(1)
+    y = rng.normal(0.0, 5.0, size=(n, 2))
+    update = np.zeros_like(y)
+    tracemalloc.start()
+    try:
+        step = _TsneIteration(p)
+        step(y, update, 12.0, 0.5, 200.0)
+        y[:5] *= 1e6  # a second step that passes over floored tiles
+        step(y, update, 1.0, 0.8, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two tile buffers of BLOCK_BYTES and about 29 n float64 values (1.23 MB)
+    assert peak < 2 * BLOCK_BYTES + 64 * n * 8
 
 
 # --- embed_corpus ---
