@@ -15,7 +15,7 @@ training flags. One table of path options (_PATH_OPTIONS) adds every
 command's path flags, names the paths section's keys and drives their
 resolution. Each config dataclass checks its values when built, so
 _stage_config only assembles them, and one rule, _check_fit, says when a net
-fits a matrix for train, transfer and eval.
+fits a matrix for train, transfer, eval and embed.
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 Diagnostics go to stderr; machine-readable results go to files or stdout.
 
@@ -346,6 +346,7 @@ def cmd_embed(args, settings: dict) -> int:
     config = _stage_config(TsneConfig, args, settings)
     model = load_model(args.model)
     rows, nations, families = load_matrix(args.matrix)
+    _check_fit("model", model.arch, rows)
     print(
         f"embedding {rows.shape[0]} samples (perplexity {config.perplexity}, "
         f"{config.iterations} iterations)",

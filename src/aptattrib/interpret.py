@@ -6,11 +6,13 @@ the products of edge weights over every input-i to class-c path. The
 embedding is exact O(n^2) t-SNE driven by the penultimate layer's
 activations, in pieces of at most network.BLOCK_BYTES, the budget
 init_model's draws also use. The bandwidth search bisects a row block of
-points at once. Each iteration is one sweep over the TILE x TILE tiles on
-and above the diagonal: P and the Student-t kernel are symmetric, so each
-pair's kernel is formed once and gives the KL, the normalizer z and both
-gradient terms of the pair and its mirror. An iteration holds P and two
-tile buffers.
+points at once, on that block's squared distances, and writes the block's
+conditional rows into the one n x n array that becomes P. P is symmetrized
+in place, and each iteration is one sweep, over the same TILE x TILE tiles
+on and above the diagonal (_tile_pairs). P and the Student-t kernel are
+symmetric, so each pair's kernel is formed once and gives the KL, the
+normalizer z and both gradient terms of the pair and its mirror. Building P
+and iterating each hold P, one n x n array, and a few blocks.
 """
 
 from __future__ import annotations
@@ -161,23 +163,28 @@ def _block_entropies(dists: np.ndarray, beta: np.ndarray, cols: np.ndarray):
 
 
 def _conditional_affinities(
-    sq_dists: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50
+    points: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50
 ) -> np.ndarray:
     """Binary search per point for the Gaussian bandwidth hitting the target perplexity.
 
-    Rows are searched a block at a time. Every row starts at beta = 1 and
-    follows the per-point rule: double (halve) beta until the entropy is
-    bracketed, then bisect, stopping within tol of log(perplexity) or after
-    max_iter updates. Converged rows leave the active set; the block's rows
-    are then computed once from the final betas.
+    Rows are searched a block at a time, on the block's squared distances to
+    every point (sq_i + sq_j - 2 x_i . x_j, clamped at 0, the own point's 0),
+    formed here so no n x n distance matrix is made. Every row starts at
+    beta = 1 and follows the per-point rule: double (halve) beta until the
+    entropy is bracketed, then bisect, stopping within tol of log(perplexity)
+    or after max_iter updates. Converged rows leave the active set; the
+    block's rows are then computed once from the final betas.
     """
-    n = sq_dists.shape[0]
+    n = points.shape[0]
+    sq = (points * points).sum(axis=1)
     target = np.log(perplexity)
     cond = np.empty((n, n), dtype=np.float64)
     for s in _row_blocks(n, 8 * n):
-        block = sq_dists[s].astype(np.float64)
         own = np.arange(s.start, s.stop)
+        block = np.add.outer(sq[s], sq)
+        block -= 2.0 * (points[s] @ points.T)
         block[np.arange(len(own)), own] = 0.0
+        np.maximum(block, 0.0, out=block)
         beta = np.ones(len(own))
         beta_min = np.full(len(own), -np.inf)
         beta_max = np.full(len(own), np.inf)
@@ -204,21 +211,29 @@ def _conditional_affinities(
     return cond
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
-    sq = (x * x).sum(axis=1)
-    d = np.add.outer(sq, sq)
-    for s in _row_blocks(len(x), 8 * len(x)):
-        d[s] -= 2.0 * (x[s] @ x.T)
-    np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0, out=d)
+def _tile_pairs(n: int):
+    """Yield (a, b, w) for each TILE x TILE tile of an n x n array with a <= b;
+    w = 2 counts its mirror tile (b, a), w = 1 a diagonal tile."""
+    tiles = list(_row_blocks(n, 8 * TILE))  # TILE rows of TILE float64 each
+    for i, a in enumerate(tiles):
+        for b in tiles[i:]:
+            yield a, b, 1.0 if a == b else 2.0
 
 
 def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized, floored, exactly renormalized joint affinity matrix P."""
-    cond = _conditional_affinities(_squared_distances(points), perplexity)
-    p = cond + cond.T
-    del cond
-    p /= 2.0 * points.shape[0]
+    """Symmetrized, floored, exactly renormalized joint affinity matrix P.
+
+    Points are widened to float64 first. The conditional affinities are
+    symmetrized in their own array, one upper-triangle tile and its mirror at
+    a time (p += p.T would buffer a hidden n x n copy of p.T), so building P
+    holds one n x n array.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    p = _conditional_affinities(x, perplexity)
+    for a, b, _ in _tile_pairs(len(x)):
+        p[a, b] += p[b, a].T
+        p[b, a] = p[a, b].T
+    p /= 2.0 * len(x)
     np.maximum(p, P_FLOOR, out=p)
     p /= p.sum()
     return p
@@ -231,29 +246,24 @@ class _TsneIteration:
     once, in the tile (a, b) with a <= b, and an off-diagonal tile counts
     twice. A tile is at most TILE x TILE pairs, one block of BLOCK_BYTES, in a
     flat buffer reshaped to the tile (a slice of a square buffer would be
-    strided). Holds P and two tile buffers; no other n x n array is made.
-    grad keeps the last step's gradient.
+    strided). The tiles are those that built P (_tile_pairs). Holds P and two
+    tile buffers; no other n x n array is made. grad keeps the last step's
+    gradient.
     """
 
     def __init__(self, p: np.ndarray):
         n = p.shape[0]
         self.p = p
-        self.tiles = list(_row_blocks(n, 8 * TILE))  # TILE rows of TILE float64 each
+        self.pairs = list(_tile_pairs(n))
         self.k_buf = np.empty(TILE * TILE)
         self.t_buf = np.empty(TILE * TILE)
         self.grad = np.empty((n, 2))
         self.p_sum = float(p.sum())
         self.p_trace = float(np.trace(p))
         self.p_log_p = 0.0
-        for a, b, w in self._pairs():
+        for a, b, w in self.pairs:
             log_p = np.log(p[a, b], out=self._tile(self.t_buf, a, b))
             self.p_log_p += w * float(np.einsum("ij,ij->", p[a, b], log_p))
-
-    def _pairs(self):
-        """Yield (a, b, w) for each tile with a <= b; w = 2 counts its mirror tile."""
-        for i, a in enumerate(self.tiles):
-            for b in self.tiles[i:]:
-                yield a, b, 1.0 if a == b else 2.0
 
     @staticmethod
     def _tile(buf: np.ndarray, a: slice, b: slice) -> np.ndarray:
@@ -291,7 +301,7 @@ class _TsneIteration:
         rep = np.zeros((n, 3))
         z = p_log_k = 0.0
         k_max = []
-        for a, b, w in self._pairs():
+        for a, b, w in self.pairs:
             k = self._kernel(left, right, a, b)
             k_max.append(float(k.max()))
             log_k = np.log(k, out=self._tile(self.t_buf, a, b))
@@ -309,7 +319,7 @@ class _TsneIteration:
         # A pair with num / z below P_FLOOR has Q floored at P_FLOOR: its log Q
         # is log P_FLOOR and its repulsion P_FLOOR * num, not num^2 / z. Only
         # a tile whose largest k exceeds 1 / (P_FLOOR z) can hold one.
-        for (a, b, w), most in zip(self._pairs(), k_max):
+        for (a, b, w), most in zip(self.pairs, k_max):
             if most * P_FLOOR * z <= 1.0:
                 continue
             k = self._kernel(left, right, a, b)
@@ -345,8 +355,9 @@ def tsne_embed(
 
     Gradient descent on KL(P || Q) with early exaggeration and a two-phase
     momentum schedule; the KL trace is recorded each iteration against the
-    true (unexaggerated) P. The iterations hold P and two tile buffers (see
-    _TsneIteration); building P briefly holds two n x n arrays.
+    true (unexaggerated) P. P is the one n x n array: it is built in place
+    (see joint_affinities), and the iterations hold it and two tile buffers
+    (see _TsneIteration).
     """
     config = config or TsneConfig()
     x = np.asarray(points, dtype=np.float64)

@@ -33,7 +33,8 @@ init_model is the one place weights are drawn: transfer.replace_head takes a
 new head from it and gradient_check widens its weights to float64. Its draws,
 like interpret's blocked work, run in row blocks of at most BLOCK_BYTES.
 Model files are read with the same strict checks as feature-matrix files
-(magic, version, sizes against the file, exact reads, no trailing bytes).
+(magic, version, sizes against the file, trainable flags 0 or 1, exact
+reads, no trailing bytes).
 Each array is read straight into a new array and written from its own
 buffer, so loading or saving a model makes no second copy of its weights. A
 model may hold read-only arrays (transfer.replace_head's shared trunk), and
@@ -589,6 +590,8 @@ def load_model(path: str | Path) -> MlpModel:
             raise FormatError(f"{where}: needs >= 2 node-layers, got {n_layers}")
         sizes = tuple(_read_array(fh, where, (n_layers,), "<u4", "layer sizes").tolist())
         flags = _read_array(fh, where, (n_layers - 1,), "u1", "trainable flags")
+        if flags.max() > 1:
+            raise FormatError(f"{where}: trainable flags must be 0 or 1")
         shapes = list(zip(sizes, sizes[1:]))
         need = sum(4 * (fan_in + 1) * fan_out for fan_in, fan_out in shapes)
         _check_remaining(fh, where, need, f"layer sizes {sizes}")

@@ -687,3 +687,17 @@ def test_eval_width_mismatch_exits_2_before_inference(tmp_path, capsys):
     save_model(init_model(ArchSpec((4, 2)), seed=0), model)
     assert main(["eval", "--model", str(model), "--matrix", str(matrix)]) == 2
     assert "model input size 4 does not match matrix width 3" in capsys.readouterr().err
+
+
+def test_embed_width_mismatch_exits_2_before_embedding(tmp_path, capsys):
+    matrix = tmp_path / "x.bin"
+    save_matrix(matrix, np.ones((2, 3), dtype=np.uint8), ["a", "b"], ["f", "g"])
+    model = tmp_path / "m.model"
+    save_model(init_model(ArchSpec((4, 2)), seed=0), model)
+    out = tmp_path / "e.csv"
+    argv = ["embed", "--model", str(model), "--matrix", str(matrix), "--csv-out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "model input size 4 does not match matrix width 3" in err
+    assert "embedding" not in err
+    assert not out.exists()

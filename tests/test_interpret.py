@@ -14,7 +14,6 @@ from aptattrib.interpret import (
     Embedding2D,
     TsneConfig,
     _conditional_affinities,
-    _squared_distances,
     _TsneIteration,
     embed_corpus,
     export_embedding_csv,
@@ -208,11 +207,17 @@ def test_joint_affinities_invariants():
     assert abs(p.sum() - 1.0) <= 1e-9
 
 
+def test_joint_affinities_cast_integer_points():
+    pts = np.random.default_rng(4).integers(0, 5, size=(40, 8))
+    p = joint_affinities(pts, perplexity=10.0)
+    assert np.array_equal(p, joint_affinities(pts.astype(np.float64), perplexity=10.0))
+
+
 def test_bandwidth_search_hits_target_perplexity():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(60, 10))
     target = 12.0
-    cond = _conditional_affinities(_squared_distances(pts), target)
+    cond = _conditional_affinities(pts, target)
     for i in range(60):
         row = cond[i][cond[i] > 0]
         entropy = -(row * np.log(row)).sum()
@@ -263,6 +268,17 @@ def test_tsne_carries_labels():
 def _dense_squared_distances(x):
     sq = (x * x).sum(axis=1)
     d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d, 0.0)
+    return np.maximum(d, 0.0)
+
+
+def _blocked_squared_distances(x):
+    """The squared distances _conditional_affinities forms for each row block
+    (same blocks, same matmuls, so the same bits), as one n x n array."""
+    sq = (x * x).sum(axis=1)
+    d = np.add.outer(sq, sq)
+    for s in _row_blocks(len(x), 8 * len(x)):
+        d[s] -= 2.0 * (x[s] @ x.T)
     np.fill_diagonal(d, 0.0)
     return np.maximum(d, 0.0)
 
@@ -366,6 +382,16 @@ def test_blocked_iteration_matches_dense_reference(n):
         _assert_step_matches_dense(p, y, update, factor, momentum)
 
 
+@pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+def test_joint_affinities_symmetrize_in_place_exactly(n):
+    x = _cluster_points(n, seed=n)
+    c = _conditional_affinities(x, 20.0)
+    expected = (c + c.T) / (2.0 * n)
+    np.maximum(expected, P_FLOOR, out=expected)
+    expected /= expected.sum()
+    assert np.array_equal(joint_affinities(x, perplexity=20.0), expected)
+
+
 def test_tiled_iteration_keeps_the_q_floor_exact():
     n = 513
     p = joint_affinities(_cluster_points(n, seed=7), perplexity=20.0)
@@ -407,21 +433,33 @@ def test_tsne_embed_matches_dense_loop_across_the_switch():
 
 @pytest.mark.parametrize("n", sorted(EDGE_SIZES))
 def test_conditional_affinities_match_per_row_search(n):
-    sq_dists = _dense_squared_distances(_cluster_points(n, seed=n + 1))
-    fast = _conditional_affinities(sq_dists, 15.0)
-    ref = _per_row_affinities(sq_dists, 15.0)
+    x = _cluster_points(n, seed=n + 1)
+    fast = _conditional_affinities(x, 15.0)
+    ref = _per_row_affinities(_blocked_squared_distances(x), 15.0)
     assert np.array_equal(fast == 0.0, ref == 0.0)
     assert (ref == 0.0).any()
     np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
 
 
 def test_conditional_affinities_cap_at_max_iter_and_ignore_the_diagonal():
-    sq_dists = _dense_squared_distances(_cluster_points(120, seed=3))
-    np.fill_diagonal(sq_dists, np.inf)
+    x = _cluster_points(120, seed=3)
+    sq_dists = _blocked_squared_distances(x)
     for max_iter in (0, 1, 4):
-        fast = _conditional_affinities(sq_dists, 10.0, max_iter=max_iter)
+        fast = _conditional_affinities(x, 10.0, max_iter=max_iter)
+        # the reference leaves each point's own zero distance out of its row
+        assert (np.diagonal(fast) == 0.0).all()
         ref = _per_row_affinities(sq_dists, 10.0, max_iter=max_iter)
         np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
+
+
+def test_conditional_affinities_clamp_rounded_distances_at_zero():
+    x = 1e4 + _cluster_points(120, seed=3)
+    x[60:] = x[:60]  # duplicates far from the origin
+    sq = (x * x).sum(axis=1)
+    assert (np.add.outer(sq, sq) - 2.0 * (x @ x.T) < 0.0).any()
+    fast = _conditional_affinities(x, 10.0)
+    ref = _per_row_affinities(_blocked_squared_distances(x), 10.0)
+    np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
 
 
 def test_tsne_embed_peaks_in_the_affinities():
@@ -433,10 +471,10 @@ def test_tsne_embed_peaks_in_the_affinities():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # joint_affinities holds the squared distances and the conditional
-    # affinities (2 n x n) and about 4 blocks of search scratch (12.4 MB in
-    # all at n = 800); the iterations hold P and two tiles, less than that.
-    assert peak < 2 * n * n * 8 + 6 * BLOCK_BYTES
+    # joint_affinities holds P (one n x n array, built in place) and about 4
+    # blocks of search scratch (7.3 MB in all at n = 800); the iterations
+    # hold P and two tiles, less than that.
+    assert peak < n * n * 8 + 6 * BLOCK_BYTES
 
 
 def test_tsne_iteration_holds_two_tiles_and_o_n():

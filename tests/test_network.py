@@ -5,7 +5,7 @@ import pytest
 
 from aptattrib import network
 from aptattrib.corpus import SynthSpec, generate_synthetic_corpus
-from aptattrib.featurize import build_vocabulary, encode_labels, vectorize_corpus
+from aptattrib.featurize import FormatError, build_vocabulary, encode_labels, vectorize_corpus
 from aptattrib.network import (
     BLOCK_BYTES,
     ArchSpec,
@@ -908,6 +908,17 @@ def test_model_rejects_wrong_version(tmp_path):
     raw[4] = 2
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
+        load_model(path)
+
+
+def test_model_rejects_a_trainable_flag_other_than_0_or_1(tmp_path):
+    path = tmp_path / "m.model"
+    save_model(init_model(ArchSpec((3, 2)), seed=0), path)
+    raw = bytearray(path.read_bytes())
+    assert raw[18] == 1  # after magic, version, layer count and two layer sizes
+    raw[18] = 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="trainable flags must be 0 or 1"):
         load_model(path)
 
 
