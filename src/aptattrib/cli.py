@@ -10,12 +10,13 @@ synth, train and tsne sections take exactly the fields of SynthSpec,
 TrainConfig (plus arch) and TsneConfig, with value types taken from the field
 defaults, and are type-checked once when the file is loaded by the same rule
 (corpus._check_setting) each dataclass applies to its fields; the flags for
-those fields are typed the same way. train and transfer share one set of
-training flags. One table of path options (_PATH_OPTIONS) adds every
-command's path flags, names the paths section's keys and drives their
-resolution. Each config dataclass checks its values when built, so
-_stage_config only assembles them, and one rule, _check_fit, says when a net
-fits a matrix for train, transfer, eval and embed.
+those fields are typed the same way. The root seed, from --seed or the
+config, and each section's seed are checked by that rule as kind _SEED. train
+and transfer share one set of training flags. One table of path options
+(_PATH_OPTIONS) adds every command's path flags, names the paths section's
+keys and drives their resolution. Each config dataclass checks its values
+when built, so _stage_config only assembles them, and one rule, _check_fit,
+says when a net fits a matrix for train, transfer, eval and embed.
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 Diagnostics go to stderr; machine-readable results go to files or stdout.
 
@@ -35,6 +36,7 @@ from pathlib import Path
 
 from .corpus import (
     SynthSpec,
+    _SEED,
     _check_setting,
     _field_types,
     _parse_json,
@@ -71,9 +73,6 @@ from .network import (
     train,
 )
 from .transfer import transfer_train
-
-MAX_SEED = 2**64 - 1
-
 
 # command -> its path options as (flag, paths key, help, required). The table
 # adds the flags, names the keys of the config's paths section, and drives
@@ -117,7 +116,7 @@ _PATH_OPTIONS = {
     ),
 }
 
-# section -> key -> expected JSON value type (float keys also accept integers)
+# section -> key -> expected JSON value kind (float keys also accept integers)
 _SCHEMA = {
     "synth": _field_types(SynthSpec),
     "vocab": {"max_size": int},
@@ -139,12 +138,6 @@ def derive_seed(root_seed: int, stage: str) -> int:
     """Stage sub-seed: low 64 bits of sha256(root_seed_le8 || stage_name)."""
     digest = hashlib.sha256(root_seed.to_bytes(8, "little") + stage.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _check_seed(where: str, value) -> int:
-    if not (type(value) is int and 0 <= value <= MAX_SEED):
-        raise ValueError(f"{where} must be an unsigned 64-bit integer")
-    return value
 
 
 def load_config(path: str | None) -> dict:
@@ -169,7 +162,7 @@ def load_config(path: str | None) -> dict:
             )
         for key, value in raw[section].items():
             _check_setting(f"config {section}.{key}", schema[key], value)
-    _check_seed("config seed", raw.get("seed", 0))
+    _check_setting("config seed", _SEED, raw.get("seed", 0))
     return raw
 
 
@@ -192,7 +185,10 @@ def _resolve(args, cfg: dict) -> dict:
             setattr(args, dest, paths.get(key))
         if required and getattr(args, dest) is None:
             raise ValueError(f"no {key} path given: pass {flag} or set paths.{key} in the config")
-    args.seed = cfg.get("seed", 0) if args.seed is None else _check_seed("--seed", args.seed)
+    if args.seed is None:
+        args.seed = cfg.get("seed", 0)  # load_config checked it
+    else:
+        _check_setting("--seed", _SEED, args.seed)
     flags = {k: v for k, v in vars(args).items() if v is not None and k != "seed"}
     return {**cfg.get(_SECTIONS.get(args.command), {}), **flags}
 

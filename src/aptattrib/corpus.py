@@ -4,6 +4,8 @@ _parse_json here is the package's one JSON reader: the config, every
 manifest line and the vocabulary pass through it. _check_setting is the one
 type rule for settings: the CLI applies it to each config value when the file
 is loaded, and every config dataclass to each of its fields when it is built.
+It holds the one seed rule too: every seed, the root seed and each config
+dataclass's seed field, is an integer in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, fields
+from itertools import compress
 from pathlib import Path, PurePath
 from typing import Iterable
 
@@ -74,6 +77,12 @@ class SynthSpec:
     independently with probability p_nation, each of its family's signature
     tokens with probability p_family, then uniform noise-pool draws up to
     tokens_per_report total tokens.
+
+    The stream contract: one generator, seeded with seed, serves the reports
+    in corpus order. Per report it makes the nation draws, then the family
+    draws, then the noise draws, one array call each; the output bytes
+    depend on that order. noise_pool_size is at most 2**63, the largest
+    bound the generator draws under.
     """
 
     nations: int = 2
@@ -104,8 +113,8 @@ class SynthSpec:
         for name, value in (("p_nation", self.p_nation), ("p_family", self.p_family)):
             if not 0.0 <= value <= 1.0:
                 raise CorpusError(f"{name} must be in [0,1], got {value}")
-        if not 0 <= self.seed < 2**64:
-            raise CorpusError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if self.noise_pool_size > 2**63:
+            raise CorpusError(f"noise_pool_size must be <= 2**63, got {self.noise_pool_size}")
 
     __post_init__ = validate  # a config checks itself when it is built
 
@@ -122,8 +131,12 @@ def _parse_json(raw: bytes, error: type[ValueError], where: str):
         raise error(f"{where}: invalid JSON ({exc})") from exc
 
 
+# The kind of every seed: an integer in [0, 2**64).
+_SEED = "seed"
+
 # kind -> (the types its values may have, how a message names it)
 _KINDS = {
+    _SEED: ((int, np.integer), "an unsigned 64-bit integer"),
     float: ((int, float, np.integer, np.floating), "a number"),
     int: ((int, np.integer), "an integer"),
     bool: ((bool,), "true or false"),
@@ -141,23 +154,24 @@ def _show(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-def _field_types(cls) -> dict[str, type]:
-    """A config dataclass's field types, each taken from the field's default."""
-    return {f.name: type(f.default) for f in fields(cls)}
+def _field_types(cls) -> dict[str, type | str]:
+    """A config dataclass's field kinds: _SEED for its seed, else its default's type."""
+    return {f.name: _SEED if f.name == "seed" else type(f.default) for f in fields(cls)}
 
 
-def _check_setting(where: str, kind: type, value) -> None:
+def _check_setting(where: str, kind: type | str, value) -> None:
     """Reject a value that is not of kind, or a float that is not finite.
 
     A float setting also takes an integer, numpy integer and float scalars
-    count as their Python kinds, a bool is never a number, and a list holds
-    Python integers.
+    count as their Python kinds, a bool is never a number, a list holds
+    Python integers, and a seed lies in [0, 2**64).
     """
     types, name = _KINDS[kind]
     if (
         not isinstance(value, types)
         or (kind is not bool and isinstance(value, bool))
         or (kind is list and any(type(v) is not int for v in value))
+        or (kind is _SEED and not 0 <= value < 2**64)
     ):
         raise ValueError(f"{where} must be {name}, got {_show(value)}")
     if isinstance(value, (float, np.floating)) and not math.isfinite(value):
@@ -287,7 +301,15 @@ def family_disjoint_split(
 
 
 def generate_synthetic_corpus(spec: SynthSpec) -> Corpus:
-    """Generate a labeled corpus of token-stream reports; pure function of spec."""
+    """Generate a labeled corpus of token-stream reports; pure function of spec.
+
+    One generator seeded with spec.seed serves every report, in corpus order.
+    Per report it makes three array calls, in this order: random() for the
+    nation signature, random() for the family signature, then integers() for
+    the noise tokens (skipped when the pool is empty). The output bytes
+    depend on that order; each array call draws the same numbers as the same
+    count of scalar calls would.
+    """
     rng = np.random.default_rng(spec.seed)
     reports: list[LabeledReport] = []
     for n in range(spec.nations):
@@ -295,12 +317,14 @@ def generate_synthetic_corpus(spec: SynthSpec) -> Corpus:
         for f in range(spec.families_per_nation):
             family_sig = [f"fsig_{n}_{f}_{k}" for k in range(spec.family_sig_size)]
             for r in range(spec.reports_per_family):
-                tokens = [t for t in nation_sig if rng.random() < spec.p_nation]
-                tokens += [t for t in family_sig if rng.random() < spec.p_family]
+                keep_n = rng.random(spec.nation_sig_size) < spec.p_nation
+                keep_f = rng.random(spec.family_sig_size) < spec.p_family
+                tokens = list(compress(nation_sig, keep_n.tolist()))
+                tokens += compress(family_sig, keep_f.tolist())
                 if spec.noise_pool_size > 0:
-                    missing = spec.tokens_per_report - len(tokens)
-                    for _ in range(max(0, missing)):
-                        tokens.append(f"noise_{rng.integers(spec.noise_pool_size)}")
+                    missing = max(0, spec.tokens_per_report - len(tokens))
+                    noise = rng.integers(spec.noise_pool_size, size=missing)
+                    tokens += [f"noise_{i}" for i in noise.tolist()]
                 reports.append(
                     LabeledReport(
                         id=f"report_{n}_{f}_{r}",

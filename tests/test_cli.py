@@ -379,6 +379,34 @@ def _tree(root):
 
 
 @pytest.mark.parametrize(
+    "argv, section, seed",
+    [(["train", "--task", "family"], "train", -1), (["embed"], "tsne", 2**64)],
+)
+def test_a_section_seed_out_of_range_exits_2_before_any_work(
+    pipeline, capsys, argv, section, seed
+):
+    _, cfg, tmp_path = pipeline
+    cfg[section] = {**cfg[section], "seed": seed}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {section}.seed must be an unsigned 64-bit integer, got {seed}\n"
+    assert _tree(tmp_path) == before
+
+
+def test_a_noise_pool_over_2_63_exits_2_naming_the_setting(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"synth": {"noise_pool_size": 2**64}}))
+    out = tmp_path / "corpus"
+    assert main(["synth", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: noise_pool_size must be <= 2**63, got {2**64}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, override, where",
     [
         ("train", {"train": {"epochs": "5"}}, "train.epochs"),
@@ -626,7 +654,8 @@ def test_seed_flag_and_config_seed_share_one_range_check(tmp_path, capsys, seed)
 def test_every_command_checks_the_root_seed(tmp_path, capsys, command, seed):
     config_path, _ = _write_pipeline_config(tmp_path)
     assert main([command, "--config", str(config_path), "--seed", seed]) == 2
-    assert capsys.readouterr().err == "error: --seed must be an unsigned 64-bit integer\n"
+    expected = f"error: --seed must be an unsigned 64-bit integer, got {seed}\n"
+    assert capsys.readouterr().err == expected
     assert not (tmp_path / "vocab.json").exists()
 
 

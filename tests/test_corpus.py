@@ -1,8 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aptattrib.corpus import (
     Corpus,
@@ -71,6 +74,110 @@ def test_synth_spec_validation(kwargs):
 def test_synth_spec_checks_itself_when_built():
     with pytest.raises(CorpusError, match="p_nation"):
         SynthSpec(p_nation=1.5)
+
+
+def test_synth_spec_bounds_the_noise_pool_at_2_63():
+    assert SynthSpec(noise_pool_size=2**63).noise_pool_size == 2**63
+    with pytest.raises(CorpusError, match=r"^noise_pool_size must be <= 2\*\*63, got 9223372036854775809$"):
+        SynthSpec(noise_pool_size=2**63 + 1)
+
+
+@pytest.mark.parametrize("cls", [SynthSpec, TrainConfig, TsneConfig])
+def test_every_config_seed_follows_the_one_seed_rule(cls):
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
+        assert cls(seed=seed).seed == seed
+    for seed in (-1, 2**64, np.int64(-1)):
+        message = f"seed must be an unsigned 64-bit integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(seed=seed)
+
+
+def _scalar_reference(spec: SynthSpec) -> Corpus:
+    """The generator as one scalar draw per token: the oracle for the array draws."""
+    rng = np.random.default_rng(spec.seed)
+    reports: list[LabeledReport] = []
+    for n in range(spec.nations):
+        nation_sig = [f"nsig_{n}_{k}" for k in range(spec.nation_sig_size)]
+        for f in range(spec.families_per_nation):
+            family_sig = [f"fsig_{n}_{f}_{k}" for k in range(spec.family_sig_size)]
+            for r in range(spec.reports_per_family):
+                tokens = [t for t in nation_sig if rng.random() < spec.p_nation]
+                tokens += [t for t in family_sig if rng.random() < spec.p_family]
+                if spec.noise_pool_size > 0:
+                    missing = spec.tokens_per_report - len(tokens)
+                    for _ in range(max(0, missing)):
+                        tokens.append(f"noise_{rng.integers(spec.noise_pool_size)}")
+                reports.append(
+                    LabeledReport(
+                        id=f"report_{n}_{f}_{r}",
+                        raw_text=" ".join(tokens),
+                        nation=f"nation_{n}",
+                        family=f"family_{n}_{f}",
+                    )
+                )
+    return Corpus(reports)
+
+
+_WORKLOAD_SPECS = {  # the benchmark workloads' synth settings
+    "desk-pipeline": dict(nations=2, families_per_nation=3, reports_per_family=300),
+    "paper-train": dict(
+        nations=2,
+        families_per_nation=3,
+        reports_per_family=160,
+        noise_pool_size=40000,
+        tokens_per_report=360,
+    ),
+    "embed-large": dict(nations=2, families_per_nation=3, reports_per_family=600),
+}
+_SMALL = dict(reports_per_family=20)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *(
+            pytest.param(SynthSpec(**w, seed=s), id=f"{name}-seed{s}")
+            for name, w in _WORKLOAD_SPECS.items()
+            for s in (0, 1, 2**64 - 1)
+        ),
+        pytest.param(SynthSpec(), id="default"),
+        pytest.param(SynthSpec(noise_pool_size=0, **_SMALL), id="pool0"),
+        pytest.param(SynthSpec(nation_sig_size=0, family_sig_size=0, **_SMALL), id="sig0"),
+        # The signatures fill ten tokens, so no noise is drawn.
+        pytest.param(SynthSpec(tokens_per_report=10, **_SMALL), id="tokens10"),
+        *(
+            pytest.param(SynthSpec(noise_pool_size=p, **_SMALL), id=f"pool{p}")
+            for p in (1, 2**31 + 3, 2**32, 2**32 + 5, 2**63)
+        ),
+    ],
+)
+def test_synth_corpus_equals_the_scalar_reference(spec):
+    # LabeledReport equality compares id, raw_text, nation and family.
+    assert generate_synthetic_corpus(spec).reports == _scalar_reference(spec).reports
+
+
+_SIZE = st.integers(0, 5)
+_PROBABILITY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        SynthSpec,
+        nations=_SIZE,
+        families_per_nation=_SIZE,
+        reports_per_family=_SIZE,
+        nation_sig_size=_SIZE,
+        family_sig_size=_SIZE,
+        noise_pool_size=st.sampled_from([0, 1, 2, 2**32 + 5, 2**63]),
+        tokens_per_report=st.integers(0, 60),
+        p_nation=_PROBABILITY,
+        p_family=_PROBABILITY,
+        seed=st.integers(0, 2**64 - 1),
+    )
+)
+def test_random_specs_equal_the_scalar_reference(spec):
+    assert generate_synthetic_corpus(spec).reports == _scalar_reference(spec).reports
 
 
 def test_synth_corpus_shape_and_labels():
