@@ -17,7 +17,8 @@ and transfer share one set of training flags. One table of path options
 keys and drives their resolution. Each config dataclass checks its values
 when built, so _stage_config only assembles them, and one rule, _check_fit,
 says when a net fits a matrix for train, transfer, eval and embed.
-Exit codes: 0 success, 2 usage or validation error, 1 internal error.
+Exit codes: 0 success, 2 usage or validation error or diverged training (a
+non-finite loss), 1 internal error.
 Diagnostics go to stderr; machine-readable results go to files or stdout.
 
 All randomness flows from one root seed (--seed or config "seed"): each
@@ -64,6 +65,7 @@ from .interpret import (
 )
 from .network import (
     ArchSpec,
+    NumericalError,
     TrainConfig,
     default_arch,
     evaluate,
@@ -426,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, _resolve(args, load_config(args.config)))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

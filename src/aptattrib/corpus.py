@@ -98,18 +98,9 @@ class SynthSpec:
 
     def validate(self) -> None:
         _check_fields(self)
-        counts = {
-            "nations": self.nations,
-            "families_per_nation": self.families_per_nation,
-            "reports_per_family": self.reports_per_family,
-            "nation_sig_size": self.nation_sig_size,
-            "family_sig_size": self.family_sig_size,
-            "noise_pool_size": self.noise_pool_size,
-            "tokens_per_report": self.tokens_per_report,
-        }
-        for name, value in counts.items():
-            if value < 0:
-                raise CorpusError(f"{name} must be >= 0, got {value}")
+        for name, kind in _field_types(SynthSpec).items():
+            if kind is int and getattr(self, name) < 0:
+                raise CorpusError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name, value in (("p_nation", self.p_nation), ("p_family", self.p_family)):
             if not 0.0 <= value <= 1.0:
                 raise CorpusError(f"{name} must be in [0,1], got {value}")

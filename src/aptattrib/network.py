@@ -13,19 +13,21 @@ The binary inputs are sparse, so layer 0 has a row-sparse path. When W0
 spans more than one row block and at most SPARSE_MAX_DENSITY of a batch's
 cells are set after input noise, each row's pre-activation is built from its
 own set columns alone, row[idx] @ W0[idx], so rows of W0 that a row does not
-set are never read. Every other batch takes the dense x @ W0. The layer-0
-weight gradient is never formed whole: a train step updates W0 in row blocks
-of at most BLOCK_BYTES, over the batch's set columns on the sparse path or
-all rows on the dense one, and rows outside those columns are left as they
-are. The two paths differ only in float32 summation order. Integer rows (a
-uint8 feature matrix) enter layer 0 as they are: the row-sparse path casts
-each row's set values alone, and only the dense path casts the batch, once,
-so evaluate and penultimate_activations never hold a float copy of the
-whole input.
+set are never read. Every other batch takes the dense x @ W0. The two
+paths differ only in float32 summation order. Integer rows (a uint8 feature
+matrix) enter layer 0 as they are: the row-sparse path casts each row's set
+values alone, and only the dense path casts the batch, once, so evaluate and
+penultimate_activations never hold a float copy of the whole input.
 
-Backprop (_backward_pass) is one loop that hands each trainable layer's
-gradient over as soon as the gradient passed below it is formed, and
-train_step applies it in place and drops it, so a step holds one layer's
+Backprop (_backward_pass) is one loop and the one place that knows how a
+parameter's gradient is shaped. It yields (array, rows, grad) for each
+weight and bias of each trainable layer, top down, as soon as the gradient
+passed below that layer is formed. train_step applies every yield the same
+way, array[rows] -= lr * grad, and gradient_check assembles them into whole
+gradients. rows is slice(None) except for W0, whose gradient is never
+formed whole: it comes in row blocks of at most BLOCK_BYTES, over the
+batch's set columns on the row-sparse path or all rows on the dense one, and
+rows outside those columns are left as they are. So train_step holds one
 gradient at a time. Backprop stops at the lowest trainable layer, and a
 frozen layer above it passes the gradient down without forming its own.
 
@@ -202,37 +204,22 @@ def _row_sparse(w0: np.ndarray, x: np.ndarray) -> bool:
     return w0.nbytes > BLOCK_BYTES and np.count_nonzero(x) <= SPARSE_MAX_DENSITY * x.size
 
 
-def _layer0(w0: np.ndarray, b0: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Layer-0 pre-activation in w0's dtype; returns (z, sparse).
+def _layer0(w0: np.ndarray, b0: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Layer-0 pre-activation z in w0's dtype.
 
-    On the row-sparse path (sparse is True, see _row_sparse) each row's
+    On the row-sparse path (when _row_sparse(w0, x) holds) each row's
     nonzero values, cast to w0's dtype, are multiplied by the rows of w0 at
     those columns only; the values need not be binary. Otherwise z is the
     dense x @ w0 + b0, with x cast once. x may hold integers.
     """
     if not _row_sparse(w0, x):
-        return np.asarray(x, dtype=w0.dtype) @ w0 + b0, False
+        return np.asarray(x, dtype=w0.dtype) @ w0 + b0
     z = np.empty((x.shape[0], w0.shape[1]), dtype=w0.dtype)
     for i, row in enumerate(x):
         idx = np.flatnonzero(row)
         np.matmul(np.asarray(row[idx], dtype=w0.dtype), w0[idx], out=z[i])
     z += b0
-    return z, True
-
-
-def _w0_grad_blocks(x: np.ndarray, dz: np.ndarray, sparse: bool):
-    """Yield (rows, gradient of those W0 rows) in blocks of at most BLOCK_BYTES.
-
-    x is layer 0's post-noise input, integer rows allowed, and dz its
-    pre-activation gradient. The blocks cover the columns x sets on the
-    sparse path and all rows on the dense one; every other row's gradient is
-    exactly zero.
-    """
-    cols = np.flatnonzero(x.any(axis=0)) if sparse else None
-    n_rows = x.shape[1] if cols is None else cols.size
-    for s in _row_blocks(n_rows, dz.itemsize * dz.shape[1]):
-        rows = s if cols is None else cols[s]
-        yield rows, np.asarray(x[:, rows], dtype=dz.dtype).T @ dz
+    return z
 
 
 def _forward_pass(
@@ -244,60 +231,64 @@ def _forward_pass(
     dropout_rate: float = 0.0,
     input_noise_rate: float = 0.0,
 ):
-    """Batched forward pass of the array a0; returns (activations, caches).
+    """Batched forward pass of the array a0; returns (activations, multipliers).
 
     Every layer computes in the weights' dtype. A positive input_noise_rate
     zeroes each input coordinate with that probability, and a positive
-    dropout_rate applies inverted dropout after each hidden ReLU; either
-    needs a seeded rng. Noise makes the input a new array in the weights'
-    dtype; without it, a0 reaches _layer0 as it is, integer rows included.
-    acts[0] and caches[0][0] are that (post-noise) input, and caches[0][1]
-    is the path _layer0 took. caches[l] for each hidden node-layer l is
-    (pre-dropout ReLU output, dropout multiplier or None); the multipliers
-    are what backprop needs to route gradients through inverted dropout.
+    dropout_rate applies inverted dropout after each hidden ReLU, in place;
+    either needs a seeded rng. Noise makes the input a new array in the
+    weights' dtype; without it, a0 reaches _layer0 as it is, integer rows
+    included. acts[0] is that (post-noise) input and acts[l] each hidden
+    node-layer's post-dropout output. mults[l] is that layer's dropout
+    multiplier, None without dropout (mults[0] is always None): what
+    backprop needs to route gradients through inverted dropout.
     """
     if (dropout_rate > 0.0 or input_noise_rate > 0.0) and rng is None:
         raise ValueError("dropout or input noise requires a seeded rng")
     a = a0
     if input_noise_rate > 0.0:
         a = np.multiply(a0, rng.random(a0.shape) >= input_noise_rate, dtype=weights[0].dtype)
-    z, sparse = _layer0(weights[0], biases[0], a)
-    acts = [a]
-    caches = [(a, sparse)]
+    z = _layer0(weights[0], biases[0], a)
+    acts, mults = [a], [None]
     for l in range(1, len(weights)):
-        h = np.maximum(z, 0.0)
+        a = np.maximum(z, 0.0)
         mult = None
         if dropout_rate > 0.0:
-            mult = (rng.random(h.shape) >= dropout_rate) / np.asarray(
-                1.0 - dropout_rate, dtype=h.dtype
+            mult = (rng.random(a.shape) >= dropout_rate) / np.asarray(
+                1.0 - dropout_rate, dtype=a.dtype
             )
-            a = h * mult
-        else:
-            a = h
-        caches.append((h, mult))
+            a *= mult
         acts.append(a)
+        mults.append(mult)
         z = a @ weights[l] + biases[l]
     acts.append(_softmax(z))
-    return acts, caches
+    return acts, mults
 
 
 def _backward_pass(
     weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
     acts: Sequence[np.ndarray],
-    caches: Sequence[tuple],
+    mults: Sequence[np.ndarray | None],
     labels: np.ndarray,
     trainable: Sequence[bool],
 ):
-    """Backprop of mean cross-entropy; yields (l, grad_w, grad_b) per trainable layer, top down.
+    """Backprop of mean cross-entropy; yields (array, rows, grad) per parameter, top down.
 
-    The one backward loop. A layer's gradients are formed and yielded only
-    once the gradient it passes down, dz @ W[l].T, exists, so the consumer
-    may update W[l] and b[l] in place and drop the gradients before the next
-    layer's are formed: one layer's gradient is alive at a time. Layer 0's
-    weight gradient is never formed whole: its grad_w is its pre-activation
-    gradient dz, from which _w0_grad_blocks builds it in row blocks. A frozen
-    layer yields nothing and forms no gradient of its own, and the loop stops
-    at the lowest trainable layer. Needs at least one trainable layer.
+    The one backward loop, and the one place that knows how a gradient is
+    shaped: grad is the gradient of array[rows], for each weight and bias of
+    each trainable layer. rows is slice(None) for every array but W0, whose
+    gradient comes in row blocks of at most BLOCK_BYTES: over the columns
+    the batch sets on the row-sparse path (every other row's gradient is
+    exactly zero) and over all rows on the dense one. A layer's gradients
+    are formed and yielded only once the gradient it passes down,
+    dz @ W[l].T, exists, so the consumer may update each array in place and
+    drop its gradient before the next is formed. The ReLU mask is taken
+    from the post-dropout acts[l] > 0, which gives the same bits as the
+    pre-dropout mask: where a dropout multiplier is 0 the gradient is
+    already 0, and every other multiplier is at least 1. A frozen layer
+    yields nothing and forms no gradient of its own, and the loop stops at
+    the lowest trainable layer. Needs at least one trainable layer.
     """
     lowest = trainable.index(True)
     probs = acts[-1]
@@ -308,13 +299,23 @@ def _backward_pass(
     for l in range(len(weights) - 1, lowest - 1, -1):
         da = dz @ weights[l].T if l > lowest else None
         if trainable[l]:
-            yield l, (acts[l].T @ dz if l else dz), dz.sum(axis=0)
+            if l:
+                yield weights[l], slice(None), acts[l].T @ dz
+            else:
+                x = acts[0]
+                cols = np.flatnonzero(x.any(axis=0)) if _row_sparse(weights[0], x) else None
+                n_rows = x.shape[1] if cols is None else cols.size
+                for s in _row_blocks(n_rows, dz.itemsize * dz.shape[1]):
+                    rows = s if cols is None else cols[s]
+                    yield weights[0], rows, np.asarray(x[:, rows], dtype=dz.dtype).T @ dz
+            # The small bias gradient last: it is what a consumer still holds
+            # while the next layer's gradients are formed.
+            yield biases[l], slice(None), dz.sum(axis=0)
         if da is None:
             return
-        h, mult = caches[l]
-        if mult is not None:
-            da = da * mult
-        dz = da * (h > 0)
+        if mults[l] is not None:
+            da *= mults[l]
+        dz = da * (acts[l] > 0)
 
 
 def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -347,16 +348,13 @@ def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     return x, y
 
 
-def _infer(model: MlpModel, x, input_dtype=None) -> list[np.ndarray]:
+def _infer(model: MlpModel, x) -> list[np.ndarray]:
     """Inference activations of a vector or batch, input layer first.
 
-    The input layer is the checked rows, cast to input_dtype if one is given;
-    otherwise integer rows stay as they are.
+    The input layer is the checked rows; integer rows stay as they are.
     """
     single = np.ndim(x) == 1
     batch, _ = _inputs(model, x)
-    if input_dtype is not None:
-        batch = batch.astype(input_dtype, copy=False)
     acts, _ = _forward_pass(model.weights, model.biases, batch)
     return [a[0] for a in acts] if single else acts
 
@@ -369,7 +367,8 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarra
     rows are cast here, once; evaluate and penultimate_activations do not
     cast them.
     """
-    acts = _infer(model, x, model.weights[0].dtype)
+    acts = _infer(model, x)
+    acts[0] = acts[0].astype(model.weights[0].dtype, copy=False)
     return acts, acts[-1]
 
 
@@ -397,17 +396,17 @@ def train_step(
 
     Only layers flagged trainable are updated (biases move with their layer),
     and backprop stops at the lowest of them. Each layer is updated in place
-    as backprop reaches it and its gradient dropped before the next layer's
-    is formed, so the step holds one layer's gradient at a time; the result
-    is the same, bit for bit, as updating every layer after a full backward
-    pass. A trainable W0 is updated in row blocks of at most BLOCK_BYTES
-    (see _w0_grad_blocks), so the step holds neither a gathered copy of W0
-    nor its full-size gradient.
+    as backprop reaches it and its gradient dropped before the next one is
+    formed, so the step holds one gradient at a time; the result is the
+    same, bit for bit, as updating every layer after a full backward pass.
+    Every yield of _backward_pass is applied the same way, and W0's come in
+    row blocks of at most BLOCK_BYTES, so the step holds neither a gathered
+    copy of W0 nor its full-size gradient.
     """
     x, y = _inputs(model, batch_x, batch_y)
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    acts, caches = _forward_pass(
+    acts, mults = _forward_pass(
         model.weights,
         model.biases,
         x,
@@ -422,18 +421,11 @@ def train_step(
     if lr == 0.0 or not any(model.trainable):
         return loss
     lr32 = np.float32(lr)
-    x0, sparse = caches[0]
-    for l, grad_w, grad_b in _backward_pass(model.weights, acts, caches, y, model.trainable):
-        if l:
-            grad_w *= lr32
-            model.weights[l] -= grad_w
-        else:
-            for rows, g in _w0_grad_blocks(x0, grad_w, sparse):
-                g *= lr32
-                model.weights[0][rows] -= g
-        grad_b *= lr32
-        model.biases[l] -= grad_b
-        del grad_w, grad_b  # before backprop forms the next layer's
+    for array, rows, grad in _backward_pass(
+        model.weights, model.biases, acts, mults, y, model.trainable
+    ):
+        grad *= lr32
+        array[rows] -= grad
     return loss
 
 
@@ -540,19 +532,13 @@ def gradient_check(
         acts, _ = _forward_pass(weights, biases, x)
         return float(-np.log(max(acts[-1][0, label], PROB_FLOOR)))
 
-    acts, caches = _forward_pass(weights, biases, x)
-    x0, sparse = caches[0]
-    checks = []
-    for l, grad_w, grad_b in _backward_pass(weights, acts, caches, y, [True] * len(weights)):
-        if not l:
-            dz = grad_w
-            grad_w = np.zeros_like(weights[0])
-            for rows, g in _w0_grad_blocks(x0, dz, sparse):
-                grad_w[rows] = g
-        checks += [(weights[l], grad_w), (biases[l], grad_b)]
+    acts, mults = _forward_pass(weights, biases, x)
+    grads = {}  # id(array) -> (array, its whole gradient)
+    for arr, rows, grad in _backward_pass(weights, biases, acts, mults, y, [True] * len(weights)):
+        grads.setdefault(id(arr), (arr, np.zeros_like(arr)))[1][rows] = grad
 
     max_rel = 0.0
-    for arr, grad in checks:
+    for arr, grad in grads.values():
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         for i in range(flat.size):

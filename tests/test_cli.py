@@ -545,6 +545,22 @@ def test_train_rejects_non_finite_settings_and_writes_nothing(tmp_path, capsys, 
     assert not (tmp_path / "family.model").exists()
 
 
+def test_diverging_training_exits_2_and_writes_no_model(tmp_path, capsys):
+    config_path, cfg = _write_pipeline_config(tmp_path)
+    args = ["--config", str(config_path)]
+    for command in ("synth", "vocab", "vectorize"):
+        assert main([command, *args]) == 0
+    vocab = load_vocabulary(cfg["paths"]["vocab"])
+    capsys.readouterr()
+    rc = main(["train", *args, "--arch", f"{len(vocab)},16,4", "--lr-init", "1e30"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: epoch 0, batch at " in err and "non-finite training loss" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "family.model").exists()
+    assert not (tmp_path / "train_report.json").exists()
+
+
 _COMMON_FLAGS = {"--config config - None", "--seed seed int None"}
 _TRAINING_FLAGS = {
     "--lr-init lr_init float None",

@@ -56,6 +56,17 @@ def test_corpus_collects_label_sets():
     assert c.ids() == ["a", "b", "c"]
 
 
+_COUNT_FIELDS = (
+    "nations",
+    "families_per_nation",
+    "reports_per_family",
+    "nation_sig_size",
+    "family_sig_size",
+    "noise_pool_size",
+    "tokens_per_report",
+)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -64,10 +75,13 @@ def test_corpus_collects_label_sets():
         {"p_family": -0.1},
         {"seed": -1},
         {"tokens_per_report": -5},
+        *({name: -1} for name in _COUNT_FIELDS[1:-1]),
     ],
 )
 def test_synth_spec_validation(kwargs):
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    match = f"{name} must be >= 0" if name in _COUNT_FIELDS else name
+    with pytest.raises(ValueError, match=match):
         SynthSpec(**kwargs).validate()
 
 

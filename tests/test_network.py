@@ -14,8 +14,8 @@ from aptattrib.network import (
     TrainConfig,
     _backward_pass,
     _forward_pass,
-    _layer0,
-    _w0_grad_blocks,
+    _row_blocks,
+    _row_sparse,
     default_arch,
     evaluate,
     forward,
@@ -314,39 +314,47 @@ def test_train_step_requires_rng_for_stochastic_regularizers():
         train_step(m, np.ones((1, 4)), np.array([0]), lr=0.1, dropout_rate=0.5)
 
 
-def _full_w0_grad(w0, caches, dz):
-    """Assemble the whole layer-0 weight gradient from _w0_grad_blocks."""
-    full = np.zeros_like(w0)
-    for rows, g in _w0_grad_blocks(caches[0][0], dz, caches[0][1]):
-        full[rows] = g
-    return full
+def _all_gradients(weights, biases, acts, mults, labels):
+    """Every layer's weight and bias gradient, assembled whole from _backward_pass's yields.
 
-
-def _all_gradients(weights, acts, caches, labels):
-    """Every layer's weight and bias gradient, collected from _backward_pass."""
-    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
-    for l, grad_w, grad_b in _backward_pass(weights, acts, caches, labels, [True] * len(weights)):
-        grads_w[l] = grad_w if l else _full_w0_grad(weights[0], caches, grad_w)
-        grads_b[l] = grad_b
-    return grads_w, grads_b
+    An array that backprop never yields has no entry, so looking it up fails.
+    """
+    full = {}
+    trainable = [True] * len(weights)
+    for array, rows, grad in _backward_pass(weights, biases, acts, mults, labels, trainable):
+        full.setdefault(id(array), np.zeros_like(array))[rows] = grad
+    return [full[id(w)] for w in weights], [full[id(b)] for b in biases]
 
 
 def test_zero_weights_zero_input_give_zero_weight_gradients():
     weights = [np.zeros((3, 2)), np.zeros((2, 2))]
     biases = [np.zeros(2), np.zeros(2)]
-    acts, caches = _forward_pass(weights, biases, np.zeros((1, 3)))
-    grads_w, _ = _all_gradients(weights, acts, caches, np.array([0]))
+    acts, mults = _forward_pass(weights, biases, np.zeros((1, 3)))
+    grads_w, _ = _all_gradients(weights, biases, acts, mults, np.array([0]))
     assert not grads_w[0].any()
     assert not grads_w[1].any()
 
 
 def test_backward_pass_yields_only_trainable_layers_top_down():
     m = init_model(ArchSpec((5, 4, 4, 3)), seed=0)
-    acts, caches = _forward_pass(m.weights, m.biases, np.ones((2, 5), dtype=np.float32))
+    acts, mults = _forward_pass(m.weights, m.biases, np.ones((2, 5), dtype=np.float32))
     y = np.array([0, 2])
+    names = {
+        id(a): (kind, l)
+        for l in range(3)
+        for kind, a in (("w", m.weights[l]), ("b", m.biases[l]))
+    }
     for trainable, layers in (([True, False, True], [2, 0]), ([False, True, False], [1])):
-        got = [l for l, _, _ in _backward_pass(m.weights, acts, caches, y, trainable)]
-        assert got == layers
+        got = [
+            (names[id(a)], rows)
+            for a, rows, _ in _backward_pass(m.weights, m.biases, acts, mults, y, trainable)
+        ]
+        # W0 is one 80-byte block here, so every array comes once, weight
+        # then bias, and only W0's rows are a block of its own.
+        assert [name for name, _ in got] == [(k, l) for l in layers for k in "wb"]
+        assert [rows for _, rows in got] == [
+            slice(0, 5) if name == ("w", 0) else slice(None) for name, _ in got
+        ]
 
 
 # --- row-sparse layer 0 against the dense reference ---
@@ -437,13 +445,13 @@ def test_layer0_matches_dense_reference(case):
     ref_acts, ref_gw, ref_gb, ref_model = _dense_reference_step(
         model, x, y, 0.1, np.random.default_rng(9), **regs
     )
-    acts, caches = _forward_pass(
+    acts, mults = _forward_pass(
         model.weights, model.biases, x, rng=np.random.default_rng(9), **regs
     )
-    assert caches[0][1] == sparse
+    assert _row_sparse(model.weights[0], acts[0]) == sparse
     for a, ref in zip(acts, ref_acts):
         _assert_rel_close(a, ref)
-    grads_w, grads_b = _all_gradients(model.weights, acts, caches, y)
+    grads_w, grads_b = _all_gradients(model.weights, model.biases, acts, mults, y)
     for g, ref in zip(grads_w + grads_b, ref_gw + ref_gb):
         _assert_rel_close(g, ref)
 
@@ -451,7 +459,7 @@ def test_layer0_matches_dense_reference(case):
     train_step(stepped, x, y, 0.1, rng=np.random.default_rng(9), **regs)
     for w, ref in zip(stepped.weights + stepped.biases, ref_model.weights + ref_model.biases):
         _assert_rel_close(w, ref)
-    unset = ~caches[0][0].any(axis=0)
+    unset = ~acts[0].any(axis=0)
     assert unset.any()
     assert stepped.weights[0][unset].tobytes() == model.weights[0][unset].tobytes()
     if case == "frozen layer 0":
@@ -470,8 +478,7 @@ def test_layer0_row_sparse_gate():
         (wide_w0, 0.012, True),
         (wide_w0, 0.176, False),
     ):
-        b0 = np.zeros(w0.shape[1], dtype=np.float32)
-        assert _layer0(w0, b0, _sparse_batch(rng, 4, w0.shape[0], density))[1] == sparse
+        assert _row_sparse(w0, _sparse_batch(rng, 4, w0.shape[0], density)) == sparse
 
 
 def test_train_step_holds_no_full_size_w0_buffer():
@@ -494,7 +501,7 @@ def _two_phase_step(model, x, y, lr, rng, dropout_rate, input_noise_rate):
     x must already be float32 rows, as the two-phase step cast every batch.
     """
     w = model.weights
-    acts, caches = _forward_pass(
+    acts, mults = _forward_pass(
         w, model.biases, x, rng=rng, dropout_rate=dropout_rate, input_noise_rate=input_noise_rate
     )
     trainable = [l for l, flag in enumerate(model.trainable) if flag]
@@ -509,10 +516,9 @@ def _two_phase_step(model, x, y, lr, rng, dropout_rate, input_noise_rate):
         grads_b[l] = dz.sum(axis=0)
         if l > trainable[0]:
             da = dz @ w[l].T
-            h, mult = caches[l]
-            if mult is not None:
-                da = da * mult
-            dz = da * (h > 0)
+            if mults[l] is not None:
+                da = da * mults[l]
+            dz = da * (acts[l] > 0)
     lr32 = np.float32(lr)
     for l in trainable:
         if l:
@@ -521,7 +527,12 @@ def _two_phase_step(model, x, y, lr, rng, dropout_rate, input_noise_rate):
         np.multiply(grads_b[l], lr32, out=grads_b[l])
         model.biases[l] -= grads_b[l]
     if model.trainable[0]:
-        for rows, g in _w0_grad_blocks(caches[0][0], dz, caches[0][1]):
+        # W0 in row blocks: over the set columns on the row-sparse path, all rows otherwise.
+        x0 = acts[0]
+        cols = np.flatnonzero(x0.any(axis=0)) if _row_sparse(w[0], x0) else None
+        for s in _row_blocks(x0.shape[1] if cols is None else cols.size, 4 * dz.shape[1]):
+            rows = s if cols is None else cols[s]
+            g = x0[:, rows].T @ dz
             g *= lr32
             w[0][rows] -= g
 
@@ -549,7 +560,7 @@ def test_fused_step_matches_the_two_phase_step_bit_for_bit(case):
         model.trainable[l] = False
     ref = _copy_model(model)
     regs = dict(dropout_rate=0.3, input_noise_rate=noise)
-    assert _layer0(model.weights[0], model.biases[0], rows)[1] == sparse
+    assert _row_sparse(model.weights[0], rows) == sparse
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(3):
         train_step(model, rows, y, 0.1, rng=rng, **regs)
@@ -580,7 +591,7 @@ def test_forward_on_uint8_rows_matches_float32_rows_bit_for_bit(density, sparse)
     model.biases = [np.full_like(b, 0.05) for b in model.biases]
     x = _sparse_batch(np.random.default_rng(5), 12, 3000, density)
     rows = x.astype(np.uint8)
-    assert _layer0(model.weights[0], model.biases[0], rows)[1] == sparse
+    assert _row_sparse(model.weights[0], rows) == sparse
     acts, probs = forward(model, rows)
     ref_acts, ref_probs = forward(model, x)
     assert all(a.dtype == np.float32 and a.tobytes() == r.tobytes() for a, r in zip(acts, ref_acts))
@@ -597,7 +608,7 @@ def test_row_sparse_inference_never_casts_the_whole_input():
     assert model.weights[0].nbytes > BLOCK_BYTES
     rows = _sparse_batch(np.random.default_rng(6), 200, 3000, 0.015).astype(np.uint8)
     y = np.arange(200) % 3
-    assert _layer0(model.weights[0], model.biases[0], rows)[1]
+    assert _row_sparse(model.weights[0], rows)
     assert _peak_traced_bytes(evaluate, model, rows, y) < rows.size * 4
     assert _peak_traced_bytes(penultimate_activations, model, rows) < rows.size * 4
 
