@@ -32,8 +32,12 @@ gradient at a time. Backprop stops at the lowest trainable layer, and a
 frozen layer above it passes the gradient down without forming its own.
 
 init_model is the one place weights are drawn: transfer.replace_head takes a
-new head from it and gradient_check widens its weights to float64. Its draws,
-like interpret's blocked work, run in row blocks of at most BLOCK_BYTES.
+new head from it and gradient_check widens its weights to float64. It draws
+each layer in float32 row blocks of at most BLOCK_BYTES: block 0 from the
+seed's generator, every later block from a child stream of its own, filled
+on a thread per usable CPU. So the bytes never depend on the thread count,
+and a net whose layers each fit one block (the desk nets, transfer heads,
+gradient_check nets) draws from the seed's generator alone.
 Model files are read with the same strict checks as feature-matrix files
 (magic, version, sizes against the file, trainable flags 0 or 1, exact
 reads, no trailing bytes).
@@ -45,6 +49,7 @@ training writes only its trainable layers.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,11 +63,13 @@ from .featurize import FormatError, _check_end, _check_remaining, _read_array, _
 MODEL_MAGIC = b"APTM"
 MODEL_VERSION = 1
 PROB_FLOOR = 1e-12
-# Block budget of float64 scratch: init_model's draws, the t-SNE bandwidth
-# search and kernel tiles (interpret.TILE is the side of a square block) and
-# olden_importance's float64 W0. Summation order, and so the embedding's bits,
-# follows the block size, which is why it is fixed here and not derived from
-# the machine. The init bytes do not depend on it.
+# Block budget of scratch: init_model's float32 row blocks, each with its own
+# random stream past a layer's first, and their float64 draws, the t-SNE
+# bandwidth search and kernel tiles (interpret.TILE is the side of a square
+# block) and olden_importance's float64 W0. The init bytes of a layer wider
+# than one block and, through summation order, the embedding's bits follow
+# the block size, which is why it is fixed here and not derived from the
+# machine.
 BLOCK_BYTES = 1 << 19
 # Largest share of set cells at which layer 0 goes row by row. With one BLAS
 # thread and a 20000x2000 W0, the per-row path beats the dense matmul below
@@ -177,19 +184,62 @@ class EvalResult:
     probabilities: np.ndarray
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_normal(out: np.ndarray, rng: np.random.Generator, sd: float) -> None:
+    """Fill the float32 block out with N(0, sd) drawn in float64 pieces of at most BLOCK_BYTES.
+
+    The pieces follow one another in rng's stream, so the bytes are those of
+    one float64 draw of the whole block cast at once.
+    """
+    for s in _row_blocks(out.shape[0], 8 * out.shape[1]):
+        out[s] = rng.normal(0.0, sd, size=(s.stop - s.start, out.shape[1]))
+
+
 def init_model(arch: ArchSpec, seed: int) -> MlpModel:
-    """He-style init: weights ~ N(0, 2/fan_in), zero biases, all layers trainable."""
-    rng = np.random.default_rng(seed)
+    """He-style init: weights ~ N(0, 2/fan_in), zero biases, all layers trainable.
+
+    Each layer is cut into float32 row blocks of at most BLOCK_BYTES. Block 0
+    of every layer is drawn from one generator seeded with seed, in layer
+    order, on the calling thread. Every later block has a child stream of its
+    own, spawned from seed's SeedSequence in layer and block order, and the
+    child blocks are filled on a thread per usable CPU. So the bytes depend
+    on seed and BLOCK_BYTES alone, never on the thread count, and a net whose
+    layers each fit one block starts no thread and gets one stream's draws,
+    layer after layer.
+    """
+    seeds = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seeds)
     weights = []
     biases = []
+    later = []  # (block, sd) of every block but a layer's first, in layer and block order
     for fan_in, fan_out in zip(arch.layer_sizes, arch.layer_sizes[1:]):
-        # Drawn in float64 row blocks straight into float32: the same bytes as
-        # one float64 draw cast at once, without the full float64 matrix.
         w = np.empty((fan_in, fan_out), dtype=np.float32)
-        for s in _row_blocks(fan_in, 8 * fan_out):
-            w[s] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(s.stop - s.start, fan_out))
+        sd = np.sqrt(2.0 / fan_in)
+        first, *rest = _row_blocks(fan_in, 4 * fan_out)
+        _fill_normal(w[first], rng, sd)
+        later += [(w[s], sd) for s in rest]
         weights.append(w)
         biases.append(np.zeros(fan_out, dtype=np.float32))
+    if later:
+        # Imported only here, so a process whose nets each fit one block per
+        # layer never loads the pool's modules (about 0.6 MB of peak RSS).
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Children are spawned one per block as it is submitted, so the
+        # workers start drawing while the rest are spawned.
+        with ThreadPoolExecutor(min(_usable_cpus(), len(later))) as pool:
+            jobs = [
+                pool.submit(_fill_normal, block, np.random.default_rng(seeds.spawn(1)[0]), sd)
+                for block, sd in later
+            ]
+            for job in jobs:
+                job.result()
     return MlpModel(arch=arch, weights=weights, biases=biases, trainable=[True] * len(weights))
 
 
@@ -451,31 +501,33 @@ def train(
         validation = _inputs(model, *validation)
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
-    for epoch in range(config.epochs):
-        lr = learning_rate(epoch, config)
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
-        total_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            try:
-                loss = train_step(
-                    model,
-                    x[idx],
-                    y[idx],
-                    lr,
-                    dropout_rate=config.dropout_rate,
-                    input_noise_rate=config.input_noise_rate,
-                    rng=rng,
-                )
-            except NumericalError as exc:
-                raise NumericalError(f"epoch {epoch}, batch at {start}: {exc}") from exc
-            total_loss += loss * len(idx)
-        val_acc = None
-        if validation is not None:
-            val_acc = evaluate(model, validation[0], validation[1]).accuracy
-        report.records.append(
-            EpochRecord(epoch=epoch, lr=lr, train_loss=total_loss / n, val_acc=val_acc)
-        )
+    # A diverging run ends in one NumericalError, not numpy overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            lr = learning_rate(epoch, config)
+            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            total_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                try:
+                    loss = train_step(
+                        model,
+                        x[idx],
+                        y[idx],
+                        lr,
+                        dropout_rate=config.dropout_rate,
+                        input_noise_rate=config.input_noise_rate,
+                        rng=rng,
+                    )
+                except NumericalError as exc:
+                    raise NumericalError(f"epoch {epoch}, batch at {start}: {exc}") from exc
+                total_loss += loss * len(idx)
+            val_acc = None
+            if validation is not None:
+                val_acc = evaluate(model, validation[0], validation[1]).accuracy
+            report.records.append(
+                EpochRecord(epoch=epoch, lr=lr, train_loss=total_loss / n, val_acc=val_acc)
+            )
     return report
 
 

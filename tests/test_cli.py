@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,11 +553,16 @@ def test_diverging_training_exits_2_and_writes_no_model(tmp_path, capsys):
         assert main([command, *args]) == 0
     vocab = load_vocabulary(cfg["paths"]["vocab"])
     capsys.readouterr()
-    rc = main(["train", *args, "--arch", f"{len(vocab)},16,4", "--lr-init", "1e30"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", *args, "--arch", f"{len(vocab)},16,4", "--lr-init", "1e30"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error: epoch 0, batch at " in err and "non-finite training loss" in err
     assert "internal error" not in err
+    # The one-line error is all: numpy's overflow warnings are not printed.
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
     assert not (tmp_path / "family.model").exists()
     assert not (tmp_path / "train_report.json").exists()
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -90,14 +91,55 @@ def test_init_model_deterministic():
     assert _model_bytes(a) != _model_bytes(c)
 
 
-def test_init_model_blocked_draw_matches_one_shot_draw():
-    sizes = (5000, 64, 16, 3)
-    assert sizes[0] > BLOCK_BYTES // (8 * sizes[1]), "layer 0 must span several blocks"
+@pytest.mark.parametrize("sizes", [(640, 128, 64, 32, 4), (1024, 128, 16, 3)])
+def test_init_model_one_block_layers_match_one_stream_and_start_no_thread(sizes, monkeypatch):
+    # 1024 x 128 float32 is exactly one block, drawn in two float64 pieces.
+    assert all(4 * i * o <= BLOCK_BYTES for i, o in zip(sizes, sizes[1:]))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # calling it would fail
     m = init_model(ArchSpec(sizes), seed=11)
     rng = np.random.default_rng(11)
     for w, (fan_in, fan_out) in zip(m.weights, zip(sizes, sizes[1:])):
         expected = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
         assert w.tobytes() == expected.astype(np.float32).tobytes()
+
+
+# Layer 0 is 10 float32 blocks of 128 rows (the last 48 rows), layer 1 is 3
+# blocks of 436 rows, and layer 2 fits one block.
+_MULTI_BLOCK = (1200, 1024, 300, 3)
+
+
+def _reference_init(sizes, seed):
+    """Block 0 of each layer from one stream in layer order, block k of a layer from its child."""
+    rng = np.random.default_rng(seed)
+    seeds = np.random.SeedSequence(seed)
+    weights = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        sd = np.sqrt(2.0 / fan_in)
+        rows = BLOCK_BYTES // (4 * fan_out)
+        blocks = [rng.normal(0.0, sd, size=(min(rows, fan_in), fan_out))]
+        starts = range(rows, fan_in, rows)
+        for start, child in zip(starts, seeds.spawn(len(starts))):
+            size = (min(rows, fan_in - start), fan_out)
+            blocks.append(np.random.default_rng(child).normal(0.0, sd, size=size))
+        weights.append(np.vstack(blocks).astype(np.float32))
+    return weights
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_init_model_multi_block_layers_draw_each_block_from_its_own_stream(cpus, monkeypatch):
+    pools = []
+    pool_class = concurrent.futures.ThreadPoolExecutor
+
+    def recording_pool(workers):
+        pools.append(workers)
+        return pool_class(workers)
+
+    monkeypatch.setattr(network, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    m = init_model(ArchSpec(_MULTI_BLOCK), seed=11)
+    assert pools == [cpus], "one pool, one worker per CPU (more workers than cores at 8)"
+    for w, expected in zip(m.weights, _reference_init(_MULTI_BLOCK, 11)):
+        assert w.tobytes() == expected.tobytes()
 
 
 # --- forward ---
