@@ -377,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_field_flags(
         training, TrainConfig, "lr_init lr_final epochs dropout_rate input_noise_rate batch_size"
     )
-    training.add_argument("--no-shuffle", dest="shuffle", action="store_false", default=None)
 
     parser = argparse.ArgumentParser(
         prog="aptattrib",
@@ -419,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("embed", cmd_embed, "2D embedding of penultimate activations")
     p.add_argument("--label-kind", choices=("nation", "family"), default="nation")
-    _add_field_flags(p, TsneConfig, "perplexity iterations step_size")
+    _add_field_flags(p, TsneConfig, "perplexity iterations")
     return parser
 
 

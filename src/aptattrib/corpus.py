@@ -130,7 +130,6 @@ _KINDS = {
     _SEED: ((int, np.integer), "an unsigned 64-bit integer"),
     float: ((int, float, np.integer, np.floating), "a number"),
     int: ((int, np.integer), "an integer"),
-    bool: ((bool,), "true or false"),
     str: ((str,), "a string"),
     list: ((list,), "a list of integers"),
 }
@@ -154,13 +153,13 @@ def _check_setting(where: str, kind: type | str, value) -> None:
     """Reject a value that is not of kind, or a float that is not finite.
 
     A float setting also takes an integer, numpy integer and float scalars
-    count as their Python kinds, a bool is never a number, a list holds
+    count as their Python kinds, a bool is never a valid value, a list holds
     Python integers, and a seed lies in [0, 2**64).
     """
     types, name = _KINDS[kind]
     if (
         not isinstance(value, types)
-        or (kind is not bool and isinstance(value, bool))
+        or isinstance(value, bool)
         or (kind is list and any(type(v) is not int for v in value))
         or (kind is _SEED and not 0 <= value < 2**64)
     ):

@@ -31,6 +31,12 @@ from .featurize import Vocabulary
 from .network import BLOCK_BYTES, MlpModel, _row_blocks, penultimate_activations
 
 P_FLOOR = 1e-12
+# The fixed schedule of van der Maaten's reference t-SNE code (JMLR 15, 2014):
+# step size, early exaggeration factor, and momentum before and after the switch.
+STEP_SIZE = 200.0
+EXAGGERATION = 12.0
+MOMENTUM_INIT = 0.5
+MOMENTUM_FINAL = 0.8
 # Side of a t-SNE tile: TILE x TILE float64 pairs fill one block.
 TILE = isqrt(BLOCK_BYTES // 8)
 SVG_WIDTH = 800
@@ -64,22 +70,12 @@ class ImportanceRanking:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def ranked(self):
-        """Yield (rank, feature_index, token, score, per-class contributions)."""
-        for rank, idx in enumerate(self.order):
-            idx = int(idx)
-            yield rank, idx, self.tokens[idx], float(self.scores[idx]), self.contributions[idx]
-
 
 @dataclass(frozen=True)
 class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
-    early_exaggeration_factor: float = 12.0
     exaggeration_iters: int = 250
-    step_size: float = 200.0
-    momentum_init: float = 0.5
-    momentum_final: float = 0.8
     momentum_switch_iter: int = 250
     seed: int = 0
 
@@ -89,15 +85,9 @@ class TsneConfig:
             raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.step_size <= 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.early_exaggeration_factor < 1.0:
-            raise ValueError(
-                f"early_exaggeration_factor must be >= 1, got {self.early_exaggeration_factor}"
-            )
-        for name in ("momentum_init", "momentum_final"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("exaggeration_iters", "momentum_switch_iter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     __post_init__ = validate  # a config checks itself when it is built
 
@@ -172,8 +162,9 @@ def _conditional_affinities(
     formed here so no n x n distance matrix is made. Every row starts at
     beta = 1 and follows the per-point rule: double (halve) beta until the
     entropy is bracketed, then bisect, stopping within tol of log(perplexity)
-    or after max_iter updates. Converged rows leave the active set; the
-    block's rows are then computed once from the final betas.
+    or after max_iter updates. Every row is evaluated at each step and only
+    the rows still off target are updated, so a converged row keeps its
+    beta; the block's rows are the last evaluation's, normalized.
     """
     n = points.shape[0]
     sq = (points * points).sum(axis=1)
@@ -188,25 +179,17 @@ def _conditional_affinities(
         beta = np.ones(len(own))
         beta_min = np.full(len(own), -np.inf)
         beta_max = np.full(len(own), np.inf)
-        active = np.arange(len(own))
-        dists = block
         for step in range(max_iter + 1):
-            h = _block_entropies(dists, beta[active], own[active])[0]
-            moving = ~(np.abs(h - target) < tol)
+            h, p, sum_p = _block_entropies(block, beta, own)
+            moving = ~(np.abs(h - target) < tol)  # a NaN entropy is off target
             if step == max_iter or not moving.any():
                 break
-            if not moving.all():
-                active, h = active[moving], h[moving]
-                dists = block[active]
-            b = beta[active]
-            up = h > target
-            lo, hi = beta_min[active], beta_max[active]
-            beta_min[active] = np.where(up, b, lo)
-            beta_max[active] = np.where(up, hi, b)
-            raised = np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0)
-            lowered = np.where(lo == -np.inf, b / 2.0, (b + lo) / 2.0)
-            beta[active] = np.where(up, raised, lowered)
-        _, p, sum_p = _block_entropies(block, beta, own)
+            up = h > target  # a NaN entropy goes down
+            raised = np.where(beta_max == np.inf, beta * 2.0, (beta + beta_max) / 2.0)
+            lowered = np.where(beta_min == -np.inf, beta / 2.0, (beta + beta_min) / 2.0)
+            beta_min = np.where(moving & up, beta, beta_min)
+            beta_max = np.where(moving & ~up, beta, beta_max)
+            beta = np.where(moving, np.where(up, raised, lowered), beta)
         np.divide(p, sum_p[:, None], out=cond[s])
     return cond
 
@@ -286,7 +269,7 @@ class _TsneIteration:
         if a != b:
             acc[b] += m.T @ y1[a]
 
-    def __call__(self, y, update, factor: float, momentum: float, step_size: float):
+    def __call__(self, y, update, factor: float, momentum: float):
         """One gradient step on KL(factor * P || Q); returns (y, update, KL(P || Q) at y)."""
         p, grad, n = self.p, self.grad, len(y)
         # left[i] . right[j] is 1 + sq[i] - 2 y_i . y_j + sq[j]
@@ -341,7 +324,7 @@ class _TsneIteration:
         grad *= factor
         grad -= (rep[:, 2:] * y - rep[:, :2]) / z
         grad *= 4.0
-        update = momentum * update - step_size * grad
+        update = momentum * update - STEP_SIZE * grad
         y = y + update
         return y - y.mean(axis=0), update, self.p_log_p - p_log_q
 
@@ -353,9 +336,11 @@ def tsne_embed(
 ) -> Embedding2D:
     """Exact t-SNE to 2 dimensions; deterministic given config.seed.
 
-    Gradient descent on KL(P || Q) with early exaggeration and a two-phase
-    momentum schedule; the KL trace is recorded each iteration against the
-    true (unexaggerated) P. P is the one n x n array: it is built in place
+    Gradient descent on KL(P || Q) with step size STEP_SIZE, P exaggerated by
+    EXAGGERATION for the first config.exaggeration_iters iterations, and
+    momentum MOMENTUM_INIT before config.momentum_switch_iter and
+    MOMENTUM_FINAL from it; the KL trace is recorded each iteration against
+    the true (unexaggerated) P. P is the one n x n array: it is built in place
     (see joint_affinities), and the iterations hold it and two tile buffers
     (see _TsneIteration).
     """
@@ -380,11 +365,9 @@ def tsne_embed(
     update = np.zeros_like(y)
     kl_trace: list[float] = []
     for it in range(config.iterations):
-        factor = config.early_exaggeration_factor if it < config.exaggeration_iters else 1.0
-        momentum = (
-            config.momentum_init if it < config.momentum_switch_iter else config.momentum_final
-        )
-        y, update, kl = step(y, update, factor, momentum, config.step_size)
+        factor = EXAGGERATION if it < config.exaggeration_iters else 1.0
+        momentum = MOMENTUM_INIT if it < config.momentum_switch_iter else MOMENTUM_FINAL
+        y, update, kl = step(y, update, factor, momentum)
         kl_trace.append(kl)
     final_labels = tuple(labels) if labels is not None else tuple([None] * n)
     return Embedding2D(points=y, labels=final_labels, kl_trace=kl_trace)
@@ -412,13 +395,10 @@ def importance_csv(ranking: ImportanceRanking, top: int | None = None) -> str:
     header = "rank,feature_index,token,score," + ",".join(
         f"contrib_class_{c}" for c in range(n_classes)
     )
-    kept = len(ranking) if top is None else min(top, len(ranking))
     lines = [header]
-    for rank, idx, token, score, contribs in ranking.ranked():
-        if rank >= kept:
-            break
-        cells = [str(rank), str(idx), token, repr(score)]
-        cells.extend(repr(float(v)) for v in contribs)
+    for rank, idx in enumerate(ranking.order[:top]):
+        cells = [str(rank), str(idx), ranking.tokens[idx], repr(float(ranking.scores[idx]))]
+        cells.extend(repr(float(v)) for v in ranking.contributions[idx])
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

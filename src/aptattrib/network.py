@@ -137,7 +137,6 @@ class TrainConfig:
     input_noise_rate: float = 0.2
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
 
     def validate(self) -> None:
         _check_fields(self)
@@ -488,10 +487,11 @@ def train(
 ) -> TrainReport:
     """Train in place for config.epochs; deterministic given config.seed.
 
-    Shuffling, input noise, and dropout all draw from one generator seeded
-    once at the start, so identical configs give byte-identical models. The
-    whole training set and the validation pair are checked before the first
-    step, so bad input leaves the model untouched.
+    Each epoch's permutation of the rows, input noise, and dropout all draw
+    from one generator seeded once at the start, so identical configs give
+    byte-identical models. The whole training set and the validation pair
+    are checked before the first step, so bad input leaves the model
+    untouched.
     """
     x, y = _inputs(model, train_x, train_y)
     n = x.shape[0]
@@ -505,7 +505,7 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             lr = learning_rate(epoch, config)
-            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            order = rng.permutation(n)
             total_loss = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]

@@ -34,9 +34,15 @@ def test_load_config_rejects_unknown_root_key(tmp_path):
 
 def test_load_config_rejects_unknown_section_key(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text('{"train": {"momentum": 0.9}}')
-    with pytest.raises(ValueError, match="momentum"):
-        load_config(str(path))
+    for section, key in (
+        ("train", "momentum"),
+        ("train", "shuffle"),
+        ("tsne", "step_size"),
+        ("tsne", "momentum_init"),
+    ):
+        path.write_text(json.dumps({section: {key: 0.5}}))
+        with pytest.raises(ValueError, match=f"unknown config key.*{section}.*: {key}$"):
+            load_config(str(path))
 
 
 def test_load_config_rejects_non_object(tmp_path):
@@ -319,8 +325,11 @@ def test_embed_too_few_points_exits_2(tmp_path, capsys):
     "key, flags, section",
     [
         ("perplexity", ["--perplexity", "nan"], {}),
+        # not TsneConfig fields, so unknown config keys
         ("step_size", [], {"step_size": float("inf")}),
         ("momentum_final", [], {"momentum_final": 1.5}),
+        ("exaggeration_iters", [], {"exaggeration_iters": -5}),
+        ("momentum_switch_iter", [], {"momentum_switch_iter": -1}),
     ],
 )
 def test_embed_rejects_bad_tsne_settings_and_writes_nothing(pipeline, capsys, key, flags, section):
@@ -413,7 +422,7 @@ def test_a_noise_pool_over_2_63_exits_2_naming_the_setting(tmp_path, capsys):
         ("train", {"train": {"epochs": "5"}}, "train.epochs"),
         ("train", {"train": {"arch": 5}}, "train.arch"),
         ("train", {"train": {"arch": [640, 8.5, 4]}}, "train.arch"),
-        ("train", {"train": {"shuffle": "no"}}, "train.shuffle"),
+        ("train", {"train": {"epochs": True}}, "train.epochs"),
         ("synth", {"synth": {"nations": 2.5}}, "synth.nations"),
         ("embed", {"tsne": {"perplexity": "5"}}, "tsne.perplexity"),
         ("vocab", {"paths": {"vocab": 3}}, "paths.vocab"),
@@ -489,16 +498,12 @@ def test_embed_flag_beats_config(pipeline, capsys):
     assert "(perplexity 6.0, 7 iterations)" in capsys.readouterr().err
 
 
-def test_config_shuffle_false_equals_no_shuffle_flag(pipeline):
-    config_path, cfg, tmp_path = pipeline
-    shuffled = (tmp_path / "family.model").read_bytes()
-    assert _train_family(["--config", str(config_path)], cfg, "--no-shuffle") == 0
-    flag_bytes = (tmp_path / "family.model").read_bytes()
-    cfg["train"]["shuffle"] = False
-    config_path.write_text(json.dumps(cfg))
-    assert _train_family(["--config", str(config_path)], cfg) == 0
-    assert (tmp_path / "family.model").read_bytes() == flag_bytes
-    assert flag_bytes != shuffled
+@pytest.mark.parametrize("argv", [["train", "--no-shuffle"], ["embed", "--step-size", "9"]])
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_config_only_tsne_key_reaches_embedding(pipeline):
@@ -575,7 +580,6 @@ _TRAINING_FLAGS = {
     "--dropout-rate dropout_rate float None",
     "--input-noise-rate input_noise_rate float None",
     "--batch-size batch_size int None",
-    "--no-shuffle shuffle - None",
     "--matrix matrix - None",
     "--model-out model_out - None",
     "--report-out report_out - None",
@@ -610,7 +614,6 @@ _PARSER_SURFACE = {
         "--svg-out svg_out - None",
         "--perplexity perplexity float None",
         "--iterations iterations int None",
-        "--step-size step_size float None",
     },
 }
 

@@ -426,7 +426,7 @@ def test_export_rejects_an_id_that_is_not_a_plain_file_name(tmp_path):
 @pytest.mark.parametrize(
     "cls, field, value",
     [
-        (TrainConfig, "shuffle", "no"),
+        (TrainConfig, "batch_size", True),
         (TrainConfig, "epochs", 2.5),
         (TsneConfig, "iterations", 2.5),
         (SynthSpec, "nations", 2.5),

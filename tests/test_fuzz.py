@@ -67,7 +67,7 @@ def files(tmp_path_factory):
         "seed": 7,
         "synth": {"nations": 2, "p_nation": 0.6},
         "vocab": {"max_size": 8},
-        "train": {"epochs": 3, "lr_init": 0.01, "arch": [len(vocab), 3, 2], "shuffle": True},
+        "train": {"epochs": 3, "lr_init": 0.01, "arch": [len(vocab), 3, 2]},
         "tsne": {"perplexity": 5.0},
         "paths": {"corpus_dir": "c", "vocab": "v.json", "model": "m.model"},
     }

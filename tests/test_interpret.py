@@ -9,7 +9,11 @@ import pytest
 
 from aptattrib.featurize import Vocabulary
 from aptattrib.interpret import (
+    EXAGGERATION,
+    MOMENTUM_FINAL,
+    MOMENTUM_INIT,
     P_FLOOR,
+    STEP_SIZE,
     TILE,
     Embedding2D,
     TsneConfig,
@@ -116,9 +120,8 @@ def test_olden_sorted_descending_ties_by_index():
     w = np.array([[2.0], [5.0], [-5.0], [1.0]])
     ranking = olden_importance(_model_from([w]), _vocab(4))
     assert ranking.order.tolist() == [1, 2, 0, 3]
-    ranked = list(ranking.ranked())
-    assert [r[1] for r in ranked] == [1, 2, 0, 3]
-    assert [r[3] for r in ranked] == [5.0, 5.0, 2.0, 1.0]
+    assert ranking.scores[ranking.order].tolist() == [5.0, 5.0, 2.0, 1.0]
+    assert ranking.scores.tolist() == [2.0, 5.0, 5.0, 1.0]
 
 
 def test_olden_width_mismatch():
@@ -135,8 +138,8 @@ def test_importance_csv_shape():
     assert lines[0] == "rank,feature_index,token,score,contrib_class_0,contrib_class_1"
     assert len(lines) == 4
     assert lines[1].startswith("0,1,tok1,5.0,")
-    top2 = importance_csv(ranking, top=2)
-    assert len(top2.strip().split("\n")) == 3
+    for top in (0, 2, 3, 5):
+        assert importance_csv(ranking, top).splitlines() == lines[: 1 + min(top, 3)]
 
 
 # --- t-SNE ---
@@ -156,8 +159,10 @@ def test_tsne_config_validation():
         TsneConfig(perplexity=0.5).validate()
     with pytest.raises(ValueError):
         TsneConfig(iterations=0).validate()
-    with pytest.raises(ValueError):
-        TsneConfig(step_size=0.0).validate()
+    for name in ("exaggeration_iters", "momentum_switch_iter"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+            TsneConfig(**{name: -1})
+        assert getattr(TsneConfig(**{name: 0}), name) == 0
 
 
 @pytest.mark.parametrize(
@@ -167,15 +172,6 @@ def test_tsne_config_validation():
 def test_tsne_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
         TsneConfig(**{name: value}).validate()
-
-
-@pytest.mark.parametrize("name", ["momentum_init", "momentum_final"])
-def test_tsne_config_momentum_in_unit_interval(name):
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError, match=name):
-            TsneConfig(**{name: bad}).validate()
-    TsneConfig(**{name: 0.0}).validate()
-    TsneConfig(**{name: 0.99}).validate()
 
 
 def test_tsne_requires_enough_points():
@@ -283,14 +279,14 @@ def _blocked_squared_distances(x):
     return np.maximum(d, 0.0)
 
 
-def _dense_step(p, y, update, factor, momentum, step_size):
+def _dense_step(p, y, update, factor, momentum):
     """One exact t-SNE iteration on whole n x n arrays; returns (y, update, grad, KL)."""
     num = 1.0 / (1.0 + _dense_squared_distances(y))
     np.fill_diagonal(num, 0.0)
     q = np.maximum(num / num.sum(), P_FLOOR)
     pq_num = (p * factor - q) * num
     grad = 4.0 * (np.diag(pq_num.sum(axis=1)) - pq_num) @ y
-    update = momentum * update - step_size * grad
+    update = momentum * update - STEP_SIZE * grad
     y = y + update
     return y - y.mean(axis=0), update, grad, float((p * np.log(p / q)).sum())
 
@@ -362,8 +358,8 @@ TILE_EDGE_SIZES = (200, 256, 257, 511, 512, 513, 571)
 
 def _assert_step_matches_dense(p, y, update, factor, momentum, rows=slice(None)):
     step = _TsneIteration(p)
-    y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum, 200.0)
-    y_new, update_new, kl = step(y, update, factor, momentum, 200.0)
+    y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum)
+    y_new, update_new, kl = step(y, update, factor, momentum)
     _assert_close(step.grad[rows], grad_ref[rows], 1e-12)
     _assert_close(update_new, update_ref, 1e-12)
     _assert_close(y_new, y_ref, 1e-12)
@@ -378,7 +374,7 @@ def test_blocked_iteration_matches_dense_reference(n):
     y = rng.normal(0.0, 5.0, size=(n, 2))
     update = rng.normal(0.0, 0.5, size=(n, 2))
     # before the exaggeration and momentum switch, then after it
-    for factor, momentum in ((12.0, 0.5), (1.0, 0.8)):
+    for factor, momentum in ((EXAGGERATION, MOMENTUM_INIT), (1.0, MOMENTUM_FINAL)):
         _assert_step_matches_dense(p, y, update, factor, momentum)
 
 
@@ -405,7 +401,7 @@ def test_tiled_iteration_keeps_the_q_floor_exact():
     floored = num / num.sum() < P_FLOOR
     np.fill_diagonal(floored, False)
     assert floored.sum() > 4000
-    for factor, momentum in ((12.0, 0.5), (1.0, 0.8)):
+    for factor, momentum in ((EXAGGERATION, MOMENTUM_INIT), (1.0, MOMENTUM_FINAL)):
         _assert_step_matches_dense(p, y, update, factor, momentum)
         # the floor's repulsion shows in the far points' own gradient rows
         _assert_step_matches_dense(p, y, update, factor, momentum, rows=far)
@@ -423,9 +419,9 @@ def test_tsne_embed_matches_dense_loop_across_the_switch():
     update = np.zeros_like(y)
     kl_trace = []
     for it in range(cfg.iterations):
-        factor = cfg.early_exaggeration_factor if it < cfg.exaggeration_iters else 1.0
-        momentum = cfg.momentum_init if it < cfg.momentum_switch_iter else cfg.momentum_final
-        y, update, _, kl = _dense_step(p, y, update, factor, momentum, cfg.step_size)
+        factor = EXAGGERATION if it < cfg.exaggeration_iters else 1.0
+        momentum = MOMENTUM_INIT if it < cfg.momentum_switch_iter else MOMENTUM_FINAL
+        y, update, _, kl = _dense_step(p, y, update, factor, momentum)
         kl_trace.append(kl)
     _assert_close(emb.points, y, 1e-12)
     _assert_close(emb.kl_trace, kl_trace, 1e-12)
@@ -486,9 +482,9 @@ def test_tsne_iteration_holds_two_tiles_and_o_n():
     tracemalloc.start()
     try:
         step = _TsneIteration(p)
-        step(y, update, 12.0, 0.5, 200.0)
+        step(y, update, EXAGGERATION, MOMENTUM_INIT)
         y[:5] *= 1e6  # a second step that passes over floored tiles
-        step(y, update, 1.0, 0.8, 200.0)
+        step(y, update, 1.0, MOMENTUM_FINAL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
