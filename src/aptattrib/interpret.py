@@ -2,7 +2,10 @@
 
 Importance follows the connection-weights idea: multiply the weight matrices
 straight through (biases and nonlinearities excluded) so entry [i, c] sums
-the products of edge weights over every input-i to class-c path. The
+the products of edge weights over every input-i to class-c path. It is
+one right-to-left float64 chain, so every intermediate product is as
+narrow as the class count, and each weight matrix is widened to float64 a
+row block of at most network.BLOCK_BYTES at a time, never whole. The
 embedding is exact O(n^2) t-SNE driven by the penultimate layer's
 activations, in pieces of at most network.BLOCK_BYTES, the budget
 init_model's draws also use. The bandwidth search bisects a row block of
@@ -111,23 +114,22 @@ class Embedding2D:
 def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
     """Rank vocabulary features by connection-weight contribution.
 
-    M = W1 @ (W2 @ (... @ WL)) in float64; score_i = max_c |M[i, c]|. Going
-    right to left keeps every intermediate product as narrow as the class
-    count, and W1 is widened to float64 a row block at a time.
+    M = W1 @ (W2 @ (... @ WL)) in float64; score_i = max_c |M[i, c]|. One
+    loop goes right to left from the identity, so every intermediate
+    product is as narrow as the class count, and multiplies each matrix,
+    widened to float64 one row block at a time, into the running product.
+    Beyond the output it holds one float64 block and the narrow products.
     """
     if model.arch.input_size != len(vocab):
         raise ValueError(
             f"model input size {model.arch.input_size} does not match "
             f"vocabulary size {len(vocab)}"
         )
-    tail = None
-    for w in reversed(model.weights[1:]):
-        tail = w.astype(np.float64) if tail is None else w.astype(np.float64) @ tail
-    w0 = model.weights[0]
-    contrib = np.empty((w0.shape[0], model.arch.output_size))
-    for s in _row_blocks(w0.shape[0], 8 * w0.shape[1]):
-        rows = w0[s].astype(np.float64)
-        contrib[s] = rows if tail is None else rows @ tail
+    contrib = np.eye(model.arch.output_size)
+    for w in reversed(model.weights):
+        tail, contrib = contrib, np.empty((w.shape[0], contrib.shape[1]))
+        for s in _row_blocks(w.shape[0], 8 * w.shape[1]):
+            contrib[s] = w[s].astype(np.float64) @ tail
     scores = np.abs(contrib).max(axis=1)
     order = np.argsort(-scores, kind="stable")
     return ImportanceRanking(

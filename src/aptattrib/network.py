@@ -24,11 +24,12 @@ parameter's gradient is shaped. It yields (array, rows, grad) for each
 weight and bias of each trainable layer, top down, as soon as the gradient
 passed below that layer is formed. train_step applies every yield the same
 way, array[rows] -= lr * grad, and gradient_check assembles them into whole
-gradients. rows is slice(None) except for W0, whose gradient is never
-formed whole: it comes in row blocks of at most BLOCK_BYTES, over the
-batch's set columns on the row-sparse path or all rows on the dense one, and
-rows outside those columns are left as they are. So train_step holds one
-gradient at a time. Backprop stops at the lowest trainable layer, and a
+gradients. No weight gradient is formed whole: every weight matrix's comes
+in row blocks of at most BLOCK_BYTES (one row where a row is wider), over
+all its rows, except that W0's on the row-sparse path covers only the
+batch's set columns and leaves every other row as it is. A bias gradient is
+one vector, rows slice(None). So train_step holds gradient blocks, never a
+whole layer's gradient. Backprop stops at the lowest trainable layer, and a
 frozen layer above it passes the gradient down without forming its own.
 
 init_model is the one place weights are drawn: transfer.replace_head takes a
@@ -64,9 +65,10 @@ MODEL_MAGIC = b"APTM"
 MODEL_VERSION = 1
 PROB_FLOOR = 1e-12
 # Block budget of scratch: init_model's float32 row blocks, each with its own
-# random stream past a layer's first, and their float64 draws, the t-SNE
-# bandwidth search and kernel tiles (interpret.TILE is the side of a square
-# block) and olden_importance's float64 W0. The init bytes of a layer wider
+# random stream past a layer's first, and their float64 draws, backprop's
+# weight-gradient blocks, the t-SNE bandwidth search and kernel tiles
+# (interpret.TILE is the side of a square block) and olden_importance's
+# float64 row blocks of each weight matrix. The init bytes of a layer wider
 # than one block and, through summation order, the embedding's bits follow
 # the block size, which is why it is fixed here and not derived from the
 # machine.
@@ -326,15 +328,16 @@ def _backward_pass(
 
     The one backward loop, and the one place that knows how a gradient is
     shaped: grad is the gradient of array[rows], for each weight and bias of
-    each trainable layer. rows is slice(None) for every array but W0, whose
-    gradient comes in row blocks of at most BLOCK_BYTES: over the columns
-    the batch sets on the row-sparse path (every other row's gradient is
-    exactly zero) and over all rows on the dense one. A layer's gradients
-    are formed and yielded only once the gradient it passes down,
-    dz @ W[l].T, exists, so the consumer may update each array in place and
-    drop its gradient before the next is formed. The ReLU mask is taken
-    from the post-dropout acts[l] > 0, which gives the same bits as the
-    pre-dropout mask: where a dropout multiplier is 0 the gradient is
+    each trainable layer. Every weight gradient comes in row blocks of at
+    most BLOCK_BYTES (one row where a row is wider), the same way for every
+    layer: over all rows of the matrix, except that W0's on the row-sparse
+    path covers only the columns the batch sets (every other row's gradient
+    is exactly zero). A bias gradient comes whole, rows slice(None). A
+    layer's gradients are formed and yielded only once the gradient it
+    passes down, dz @ W[l].T, exists, so the consumer may update each array
+    in place and drop each block before the next is formed. The ReLU mask
+    is taken from the post-dropout acts[l] > 0, which gives the same bits as
+    the pre-dropout mask: where a dropout multiplier is 0 the gradient is
     already 0, and every other multiplier is at least 1. A frozen layer
     yields nothing and forms no gradient of its own, and the loop stops at
     the lowest trainable layer. Needs at least one trainable layer.
@@ -348,15 +351,12 @@ def _backward_pass(
     for l in range(len(weights) - 1, lowest - 1, -1):
         da = dz @ weights[l].T if l > lowest else None
         if trainable[l]:
-            if l:
-                yield weights[l], slice(None), acts[l].T @ dz
-            else:
-                x = acts[0]
-                cols = np.flatnonzero(x.any(axis=0)) if _row_sparse(weights[0], x) else None
-                n_rows = x.shape[1] if cols is None else cols.size
-                for s in _row_blocks(n_rows, dz.itemsize * dz.shape[1]):
-                    rows = s if cols is None else cols[s]
-                    yield weights[0], rows, np.asarray(x[:, rows], dtype=dz.dtype).T @ dz
+            x = acts[l]
+            cols = np.flatnonzero(x.any(axis=0)) if l == 0 and _row_sparse(weights[0], x) else None
+            n_rows = x.shape[1] if cols is None else cols.size
+            for s in _row_blocks(n_rows, dz.itemsize * dz.shape[1]):
+                rows = s if cols is None else cols[s]
+                yield weights[l], rows, np.asarray(x[:, rows], dtype=dz.dtype).T @ dz
             # The small bias gradient last: it is what a consumer still holds
             # while the next layer's gradients are formed.
             yield biases[l], slice(None), dz.sum(axis=0)
@@ -444,13 +444,12 @@ def train_step(
     """One gradient-descent step on a mini-batch; returns the mean batch loss.
 
     Only layers flagged trainable are updated (biases move with their layer),
-    and backprop stops at the lowest of them. Each layer is updated in place
-    as backprop reaches it and its gradient dropped before the next one is
-    formed, so the step holds one gradient at a time; the result is the
-    same, bit for bit, as updating every layer after a full backward pass.
-    Every yield of _backward_pass is applied the same way, and W0's come in
-    row blocks of at most BLOCK_BYTES, so the step holds neither a gathered
-    copy of W0 nor its full-size gradient.
+    and backprop stops at the lowest of them. Every yield of _backward_pass
+    is applied in place the same way as it arrives, a weight gradient a row
+    block of at most BLOCK_BYTES at a time; the result is the same, bit for
+    bit, as updating every layer after a full backward pass. So the step
+    holds no layer's full-size gradient and no gathered copy of W0: at most
+    the block last applied and the one being formed.
     """
     x, y = _inputs(model, batch_x, batch_y)
     if x.shape[0] == 0:
@@ -627,6 +626,8 @@ def load_model(path: str | Path) -> MlpModel:
         if n_layers < 2:
             raise FormatError(f"{where}: needs >= 2 node-layers, got {n_layers}")
         sizes = tuple(_read_array(fh, where, (n_layers,), "<u4", "layer sizes").tolist())
+        if min(sizes) < 1:
+            raise FormatError(f"{where}: layer sizes must be >= 1, got {sizes}")
         flags = _read_array(fh, where, (n_layers - 1,), "u1", "trainable flags")
         if flags.max() > 1:
             raise FormatError(f"{where}: trainable flags must be 0 or 1")

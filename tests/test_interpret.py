@@ -103,6 +103,27 @@ def test_olden_matches_left_to_right_product():
         np.testing.assert_allclose(ranking.contributions, expected, rtol=1e-12, atol=0)
 
 
+def test_olden_widens_every_matrix_a_block_at_a_time():
+    # W1 is 1024 x 512: 4 MB in float64, eight blocks; W0 is 12 MB in float64.
+    m = init_model(ArchSpec((3000, 1024, 512, 3)), seed=5)
+    assert m.weights[1].nbytes > 2 * BLOCK_BYTES
+    vocab = _vocab(3000)
+    tracemalloc.start()
+    try:
+        ranking = olden_importance(m, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The whole-matrix float64 chain, to 1e-12 of the summed |path products|:
+    # blocks sum in another order, and entries that cancel to near zero
+    # cannot keep a plain relative tolerance.
+    w = [a.astype(np.float64) for a in m.weights]
+    error = np.abs(ranking.contributions - w[0] @ (w[1] @ w[2]))
+    assert (error <= 1e-12 * (np.abs(w[0]) @ (np.abs(w[1]) @ np.abs(w[2])))).all()
+    # one float64 block, the narrow products and the ranking's own arrays
+    assert peak < 2 * BLOCK_BYTES + 3 * ranking.contributions.nbytes
+
+
 def test_olden_ranking_invariant_under_positive_rescale():
     rng = np.random.default_rng(23)
     sizes = [6, 4, 3, 2]
