@@ -8,14 +8,17 @@ narrow as the class count, and each weight matrix is widened to float64 a
 row block of at most network.BLOCK_BYTES at a time, never whole. The
 embedding is exact O(n^2) t-SNE driven by the penultimate layer's
 activations, in pieces of at most network.BLOCK_BYTES, the budget
-init_model's draws also use. The bandwidth search bisects a row block of
-points at once, on that block's squared distances, and writes the block's
-conditional rows into the one n x n array that becomes P. P is symmetrized
-in place, and each iteration is one sweep, over the same TILE x TILE tiles
-on and above the diagonal (_tile_pairs). P and the Student-t kernel are
-symmetric, so each pair's kernel is formed once and gives the KL, the
-normalizer z and both gradient terms of the pair and its mirror. Building P
-and iterating each hold P, one n x n array, and a few blocks.
+init_model's draws also use. P is kept only as its TILE x TILE tiles on and
+above the diagonal (_tile_pairs), each its own contiguous array. The
+bandwidth search bisects a row block of points at once, on that block's
+squared distances, and each finished block goes straight into the tiles:
+its rows into the tiles on or above the diagonal, their transposes added
+into the mirror tiles above. Each iteration is one sweep over the same
+tiles. P and the Student-t kernel are symmetric, so each pair's kernel is
+formed once and gives the KL, the normalizer z and both gradient terms of
+the pair and its mirror. Building P and iterating each hold P's tiles,
+about n^2 / 2 + n TILE / 2 float64 values, and a few blocks; no n x n array
+is made.
 """
 
 from __future__ import annotations
@@ -137,63 +140,73 @@ def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
     )
 
 
-def _block_entropies(dists: np.ndarray, beta: np.ndarray, cols: np.ndarray):
-    """Entropies (nats), unnormalized affinities and their row sums for one block.
+def _block_entropies(dists: np.ndarray, beta: np.ndarray, cols: np.ndarray, p: np.ndarray):
+    """Entropies (nats) and row sums for one block; the unnormalized affinities go in p.
 
     dists holds one distance row per entry of beta; cols[r] is the column of
     row r's own point, whose affinity is zeroed after the exp. A row whose
     affinities all underflow has entropy 0 and a row sum reported as 1.
     """
-    p = np.multiply(dists, -beta[:, None])
+    np.multiply(dists, -beta[:, None], out=p)
     np.exp(p, out=p)
     p[np.arange(len(beta)), cols] = 0.0
     sum_p = p.sum(axis=1)
     pos = sum_p > 0.0
     safe = np.where(pos, sum_p, 1.0)
     h = np.where(pos, np.log(safe) + beta * np.einsum("ij,ij->i", dists, p) / safe, 0.0)
-    return h, p, safe
+    return h, safe
 
 
 def _conditional_affinities(
     points: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50
-) -> np.ndarray:
+):
     """Binary search per point for the Gaussian bandwidth hitting the target perplexity.
 
-    Rows are searched a block at a time, on the block's squared distances to
-    every point (sq_i + sq_j - 2 x_i . x_j, clamped at 0, the own point's 0),
-    formed here so no n x n distance matrix is made. Every row starts at
-    beta = 1 and follows the per-point rule: double (halve) beta until the
-    entropy is bracketed, then bisect, stopping within tol of log(perplexity)
-    or after max_iter updates. Every row is evaluated at each step and only
-    the rows still off target are updated, so a converged row keeps its
-    beta; the block's rows are the last evaluation's, normalized.
+    Yields (rows, cond) for each row block of at most BLOCK_BYTES, in order:
+    cond holds the conditional affinities of those rows to every point.
     """
-    n = points.shape[0]
     sq = (points * points).sum(axis=1)
     target = np.log(perplexity)
-    cond = np.empty((n, n), dtype=np.float64)
-    for s in _row_blocks(n, 8 * n):
-        own = np.arange(s.start, s.stop)
-        block = np.add.outer(sq[s], sq)
-        block -= 2.0 * (points[s] @ points.T)
-        block[np.arange(len(own)), own] = 0.0
-        np.maximum(block, 0.0, out=block)
-        beta = np.ones(len(own))
-        beta_min = np.full(len(own), -np.inf)
-        beta_max = np.full(len(own), np.inf)
-        for step in range(max_iter + 1):
-            h, p, sum_p = _block_entropies(block, beta, own)
-            moving = ~(np.abs(h - target) < tol)  # a NaN entropy is off target
-            if step == max_iter or not moving.any():
-                break
-            up = h > target  # a NaN entropy goes down
-            raised = np.where(beta_max == np.inf, beta * 2.0, (beta + beta_max) / 2.0)
-            lowered = np.where(beta_min == -np.inf, beta / 2.0, (beta + beta_min) / 2.0)
-            beta_min = np.where(moving & up, beta, beta_min)
-            beta_max = np.where(moving & ~up, beta, beta_max)
-            beta = np.where(moving, np.where(up, raised, lowered), beta)
-        np.divide(p, sum_p[:, None], out=cond[s])
-    return cond
+    for s in _row_blocks(len(points), 8 * len(points)):
+        yield s, _search_block(points, sq, s, target, tol, max_iter)
+
+
+def _search_block(points, sq, s: slice, target: float, tol: float, max_iter: int):
+    """The conditional affinities of rows s, searched on their squared distances.
+
+    The distances to every point (sq_i + sq_j - 2 x_i . x_j, clamped at 0,
+    the own point's 0) are formed here, so no n x n distance matrix is made.
+    Every row starts at beta = 1 and follows the per-point rule: double
+    (halve) beta until the entropy is bracketed, then bisect, stopping within
+    tol of log(perplexity) or after max_iter updates. Every row is evaluated
+    at each step and only the rows still off target are updated, so a
+    converged row keeps its beta; the rows are the last evaluation's,
+    normalized. Holds two blocks: the distances and the affinities.
+    """
+    own = np.arange(s.start, s.stop)
+    dists = points[s] @ points.T
+    # -2 x_i . x_j + (sq_i + sq_j) has the bits of (sq_i + sq_j) - 2 x_i . x_j
+    dists *= -2.0
+    dists += np.add.outer(sq[s], sq)
+    dists[np.arange(len(own)), own] = 0.0
+    np.maximum(dists, 0.0, out=dists)
+    p = np.empty_like(dists)
+    beta = np.ones(len(own))
+    beta_min = np.full(len(own), -np.inf)
+    beta_max = np.full(len(own), np.inf)
+    for step in range(max_iter + 1):
+        h, sum_p = _block_entropies(dists, beta, own, p)
+        moving = ~(np.abs(h - target) < tol)  # a NaN entropy is off target
+        if step == max_iter or not moving.any():
+            break
+        up = h > target  # a NaN entropy goes down
+        raised = np.where(beta_max == np.inf, beta * 2.0, (beta + beta_max) / 2.0)
+        lowered = np.where(beta_min == -np.inf, beta / 2.0, (beta + beta_min) / 2.0)
+        beta_min = np.where(moving & up, beta, beta_min)
+        beta_max = np.where(moving & ~up, beta, beta_max)
+        beta = np.where(moving, np.where(up, raised, lowered), beta)
+    p /= sum_p[:, None]
+    return p
 
 
 def _tile_pairs(n: int):
@@ -205,22 +218,47 @@ def _tile_pairs(n: int):
             yield a, b, 1.0 if a == b else 2.0
 
 
-def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized, floored, exactly renormalized joint affinity matrix P.
+def joint_affinities(points: np.ndarray, perplexity: float) -> list[np.ndarray]:
+    """Symmetrized, floored, exactly renormalized joint affinities P, as tiles.
 
-    Points are widened to float64 first. The conditional affinities are
-    symmetrized in their own array, one upper-triangle tile and its mirror at
-    a time (p += p.T would buffer a hidden n x n copy of p.T), so building P
-    holds one n x n array.
+    One contiguous float64 array per (a, b, w) of _tile_pairs(n), in that
+    order: P[a, b] for the tiles on and above the diagonal, each P[b, a]
+    being its transpose. Points are widened to float64 first. Each row block
+    of the bandwidth search is copied into the tiles on or above the
+    diagonal and its transpose added into the mirror tiles above, so an
+    off-diagonal entry is c_ij + c_ji. Once every row is in, a diagonal tile
+    d becomes d + d.T, and P is divided by 2n, floored at P_FLOOR and
+    divided by its sum, an off-diagonal tile counting twice. Building P
+    holds the tiles and two blocks of search scratch; no n x n array is made.
     """
     x = np.asarray(points, dtype=np.float64)
-    p = _conditional_affinities(x, perplexity)
-    for a, b, _ in _tile_pairs(len(x)):
-        p[a, b] += p[b, a].T
-        p[b, a] = p[a, b].T
-    p /= 2.0 * len(x)
-    np.maximum(p, P_FLOOR, out=p)
-    p /= p.sum()
+    n = len(x)
+    pairs = list(_tile_pairs(n))
+    tiles = {(a.start, b.start): np.empty((a.stop - a.start, b.stop - b.start))
+             for a, b, _ in pairs}
+    bands = [a for a, b, _ in pairs if a == b]
+    for s, cond in _conditional_affinities(x, perplexity):
+        for r in bands:  # the rows of s in tile row r
+            lo, hi = max(s.start, r.start), min(s.stop, r.stop)
+            if lo >= hi:
+                continue
+            src, dst = slice(lo - s.start, hi - s.start), slice(lo - r.start, hi - r.start)
+            for b in bands:
+                if b.start < r.start:
+                    tiles[b.start, r.start][:, dst] += cond[src, b].T
+                else:
+                    tiles[r.start, b.start][dst] = cond[src, b]
+        del cond  # so the next block is searched without this one
+    p = [tiles[a.start, b.start] for a, b, _ in pairs]
+    total = 0.0
+    for (a, b, w), t in zip(pairs, p):
+        if a == b:
+            t += t.T  # numpy buffers the overlapping transpose
+        t /= 2.0 * n
+        np.maximum(t, P_FLOOR, out=t)
+        total += w * float(t.sum())
+    for t in p:
+        t /= total
     return p
 
 
@@ -229,26 +267,26 @@ class _TsneIteration:
 
     P and the Student-t kernel are symmetric, so each pair's kernel is formed
     once, in the tile (a, b) with a <= b, and an off-diagonal tile counts
-    twice. A tile is at most TILE x TILE pairs, one block of BLOCK_BYTES, in a
-    flat buffer reshaped to the tile (a slice of a square buffer would be
-    strided). The tiles are those that built P (_tile_pairs). Holds P and two
-    tile buffers; no other n x n array is made. grad keeps the last step's
-    gradient.
+    twice. p holds P's tiles as joint_affinities returns them, one contiguous
+    array per (a, b, w) of _tile_pairs(n). A tile is at most TILE x TILE
+    pairs, one block of BLOCK_BYTES, in a flat buffer reshaped to the tile (a
+    slice of a square buffer would be strided). Holds P's tiles and two tile
+    buffers; no n x n array is made. grad keeps the last step's gradient.
     """
 
-    def __init__(self, p: np.ndarray):
-        n = p.shape[0]
+    def __init__(self, p: Sequence[np.ndarray], n: int):
         self.p = p
         self.pairs = list(_tile_pairs(n))
         self.k_buf = np.empty(TILE * TILE)
         self.t_buf = np.empty(TILE * TILE)
         self.grad = np.empty((n, 2))
-        self.p_sum = float(p.sum())
-        self.p_trace = float(np.trace(p))
-        self.p_log_p = 0.0
-        for a, b, w in self.pairs:
-            log_p = np.log(p[a, b], out=self._tile(self.t_buf, a, b))
-            self.p_log_p += w * float(np.einsum("ij,ij->", p[a, b], log_p))
+        self.p_sum = self.p_trace = self.p_log_p = 0.0
+        for (a, b, w), pt in zip(self.pairs, p):
+            self.p_sum += w * float(pt.sum())
+            if a == b:
+                self.p_trace += float(np.trace(pt))
+            log_p = np.log(pt, out=self._tile(self.t_buf, a, b))
+            self.p_log_p += w * float(np.einsum("ij,ij->", pt, log_p))
 
     @staticmethod
     def _tile(buf: np.ndarray, a: slice, b: slice) -> np.ndarray:
@@ -273,7 +311,7 @@ class _TsneIteration:
 
     def __call__(self, y, update, factor: float, momentum: float):
         """One gradient step on KL(factor * P || Q); returns (y, update, KL(P || Q) at y)."""
-        p, grad, n = self.p, self.grad, len(y)
+        grad, n = self.grad, len(y)
         # left[i] . right[j] is 1 + sq[i] - 2 y_i . y_j + sq[j]
         sq = (y * y).sum(axis=1)
         ones = np.ones(n)
@@ -286,16 +324,16 @@ class _TsneIteration:
         rep = np.zeros((n, 3))
         z = p_log_k = 0.0
         k_max = []
-        for a, b, w in self.pairs:
+        for (a, b, w), pt in zip(self.pairs, self.p):
             k = self._kernel(left, right, a, b)
             k_max.append(float(k.max()))
             log_k = np.log(k, out=self._tile(self.t_buf, a, b))
-            p_log_k += w * float(np.einsum("ij,ij->", p[a, b], log_k))
+            p_log_k += w * float(np.einsum("ij,ij->", pt, log_k))
             num = np.reciprocal(k, out=k)
             if a == b:
                 np.fill_diagonal(num, 0.0)
             z += w * float(num.sum())
-            self._pull(np.multiply(p[a, b], num, out=log_k), y1, a, b, att)
+            self._pull(np.multiply(pt, num, out=log_k), y1, a, b, att)
             self._pull(np.multiply(num, num, out=num), y1, a, b, rep)
         # Q = num / z off the diagonal and P_FLOOR on it, so
         # sum(P log Q) = -sum(P log k) - log z (sum P - tr P) + tr P log P_FLOOR
@@ -304,7 +342,7 @@ class _TsneIteration:
         # A pair with num / z below P_FLOOR has Q floored at P_FLOOR: its log Q
         # is log P_FLOOR and its repulsion P_FLOOR * num, not num^2 / z. Only
         # a tile whose largest k exceeds 1 / (P_FLOOR z) can hold one.
-        for (a, b, w), most in zip(self.pairs, k_max):
+        for (a, b, w), pt, most in zip(self.pairs, self.p, k_max):
             if most * P_FLOOR * z <= 1.0:
                 continue
             k = self._kernel(left, right, a, b)
@@ -315,7 +353,7 @@ class _TsneIteration:
             log_gap = np.log(k, out=k)
             log_gap += np.log(z * P_FLOOR)
             np.multiply(log_gap, floored, out=log_gap)
-            p_log_q += w * float(np.einsum("ij,ij->", p[a, b], log_gap))
+            p_log_q += w * float(np.einsum("ij,ij->", pt, log_gap))
             # rep is divided by z below, so a floored pair adds z P_FLOOR num - num^2
             np.subtract(z * P_FLOOR, num, out=k)
             np.multiply(num, k, out=num)
@@ -342,9 +380,9 @@ def tsne_embed(
     EXAGGERATION for the first config.exaggeration_iters iterations, and
     momentum MOMENTUM_INIT before config.momentum_switch_iter and
     MOMENTUM_FINAL from it; the KL trace is recorded each iteration against
-    the true (unexaggerated) P. P is the one n x n array: it is built in place
-    (see joint_affinities), and the iterations hold it and two tile buffers
-    (see _TsneIteration).
+    the true (unexaggerated) P. P is held only as its upper-triangle tiles
+    (see joint_affinities), and the iterations hold them and two tile
+    buffers (see _TsneIteration); no n x n array is made.
     """
     config = config or TsneConfig()
     x = np.asarray(points, dtype=np.float64)
@@ -361,7 +399,7 @@ def tsne_embed(
     if labels is not None and len(labels) != n:
         raise ValueError("labels must align with points")
 
-    step = _TsneIteration(joint_affinities(x, config.perplexity))
+    step = _TsneIteration(joint_affinities(x, config.perplexity), n)
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)

@@ -448,8 +448,8 @@ def train_step(
     is applied in place the same way as it arrives, a weight gradient a row
     block of at most BLOCK_BYTES at a time; the result is the same, bit for
     bit, as updating every layer after a full backward pass. So the step
-    holds no layer's full-size gradient and no gathered copy of W0: at most
-    the block last applied and the one being formed.
+    holds no layer's full-size gradient and no gathered copy of W0: it
+    drops each block once applied, so it holds one block at a time.
     """
     x, y = _inputs(model, batch_x, batch_y)
     if x.shape[0] == 0:
@@ -474,6 +474,7 @@ def train_step(
     ):
         grad *= lr32
         array[rows] -= grad
+        del grad  # so the next block is formed without this one
     return loss
 
 

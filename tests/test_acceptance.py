@@ -35,7 +35,13 @@ from aptattrib.featurize import (
     vectorize,
     vectorize_corpus,
 )
-from aptattrib.interpret import TsneConfig, joint_affinities, olden_importance, tsne_embed
+from aptattrib.interpret import (
+    TsneConfig,
+    _tile_pairs,
+    joint_affinities,
+    olden_importance,
+    tsne_embed,
+)
 from aptattrib.network import (
     ArchSpec,
     TrainConfig,
@@ -293,9 +299,14 @@ def test_criterion_7_embedding_sanity(capsys):
     ]).astype(np.float64)
     labels = np.repeat(np.arange(3), 50)
 
+    # P comes as its upper-triangle tiles: the diagonal tiles must be exactly
+    # symmetric, and the sum counts each off-diagonal tile twice.
     p = joint_affinities(points, 30.0)
-    symmetric = float(np.abs(p - p.T).max()) == 0.0
-    total = float(p.sum())
+    pairs = list(_tile_pairs(len(points)))
+    symmetric = all(np.array_equal(t, t.T) for (a, b, _), t in zip(pairs, p) if a == b)
+    total = 0.0
+    for (_, _, w), t in zip(pairs, p, strict=True):
+        total += w * float(t.sum())
 
     emb = tsne_embed(points, config=TsneConfig())
     y = emb.points

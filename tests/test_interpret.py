@@ -18,6 +18,7 @@ from aptattrib.interpret import (
     Embedding2D,
     TsneConfig,
     _conditional_affinities,
+    _tile_pairs,
     _TsneIteration,
     embed_corpus,
     export_embedding_csv,
@@ -215,10 +216,26 @@ def test_tsne_rejects_label_mismatch():
         tsne_embed(pts, labels=["a"] * 19, config=TsneConfig(perplexity=2.0, iterations=5))
 
 
+def _dense_p(tiles, n):
+    """P as one n x n array, from the upper-triangle tiles joint_affinities returns."""
+    p = np.empty((n, n))
+    for (a, b, _), t in zip(_tile_pairs(n), tiles, strict=True):
+        p[a, b] = t
+        p[b, a] = t.T
+    return p
+
+
+def _dense_conditionals(x, perplexity, **kwargs):
+    """The conditional affinities as one n x n array, from the search's row blocks."""
+    blocks = list(_conditional_affinities(x, perplexity, **kwargs))
+    assert [s.start for s, _ in blocks] == [0] + [s.stop for s, _ in blocks[:-1]]
+    return np.vstack([c for _, c in blocks])
+
+
 def test_joint_affinities_invariants():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(40, 8))
-    p = joint_affinities(pts, perplexity=10.0)
+    p = _dense_p(joint_affinities(pts, perplexity=10.0), 40)
     assert np.array_equal(p, p.T)
     assert (p >= 0).all()
     assert abs(p.sum() - 1.0) <= 1e-9
@@ -227,14 +244,26 @@ def test_joint_affinities_invariants():
 def test_joint_affinities_cast_integer_points():
     pts = np.random.default_rng(4).integers(0, 5, size=(40, 8))
     p = joint_affinities(pts, perplexity=10.0)
-    assert np.array_equal(p, joint_affinities(pts.astype(np.float64), perplexity=10.0))
+    expected = joint_affinities(pts.astype(np.float64), perplexity=10.0)
+    assert len(p) == len(expected)
+    assert all(np.array_equal(t, e) for t, e in zip(p, expected))
+
+
+@pytest.mark.parametrize("n", [40, 513])
+def test_joint_affinities_return_contiguous_upper_tiles(n):
+    p = joint_affinities(_cluster_points(n, seed=n), perplexity=10.0)
+    pairs = list(_tile_pairs(n))
+    assert len(p) == len(pairs)
+    for (a, b, _), t in zip(pairs, p):
+        assert t.dtype == np.float64 and t.flags.c_contiguous
+        assert t.shape == (a.stop - a.start, b.stop - b.start)
 
 
 def test_bandwidth_search_hits_target_perplexity():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(60, 10))
     target = 12.0
-    cond = _conditional_affinities(pts, target)
+    cond = _dense_conditionals(pts, target)
     for i in range(60):
         row = cond[i][cond[i] > 0]
         entropy = -(row * np.log(row)).sum()
@@ -377,8 +406,9 @@ def test_row_blocks_cover_the_edge_sizes():
 TILE_EDGE_SIZES = (200, 256, 257, 511, 512, 513, 571)
 
 
-def _assert_step_matches_dense(p, y, update, factor, momentum, rows=slice(None)):
-    step = _TsneIteration(p)
+def _assert_step_matches_dense(tiles, y, update, factor, momentum, rows=slice(None)):
+    step = _TsneIteration(tiles, len(y))
+    p = _dense_p(tiles, len(y))
     y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum)
     y_new, update_new, kl = step(y, update, factor, momentum)
     _assert_close(step.grad[rows], grad_ref[rows], 1e-12)
@@ -399,14 +429,20 @@ def test_blocked_iteration_matches_dense_reference(n):
         _assert_step_matches_dense(p, y, update, factor, momentum)
 
 
-@pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+# At 1,200 points the search's row blocks are 54 rows, so blocks straddle
+# every tile boundary.
+@pytest.mark.parametrize("n", TILE_EDGE_SIZES + (1200,))
 def test_joint_affinities_symmetrize_in_place_exactly(n):
     x = _cluster_points(n, seed=n)
-    c = _conditional_affinities(x, 20.0)
+    c = _dense_conditionals(x, 20.0)
     expected = (c + c.T) / (2.0 * n)
     np.maximum(expected, P_FLOOR, out=expected)
-    expected /= expected.sum()
-    assert np.array_equal(joint_affinities(x, perplexity=20.0), expected)
+    # the sum over the upper-triangle tiles, an off-diagonal tile counting twice
+    total = 0.0
+    for a, b, w in _tile_pairs(n):
+        total += w * float(np.ascontiguousarray(expected[a, b]).sum())
+    expected /= total
+    assert np.array_equal(_dense_p(joint_affinities(x, perplexity=20.0), n), expected)
 
 
 def test_tiled_iteration_keeps_the_q_floor_exact():
@@ -435,7 +471,7 @@ def test_tsne_embed_matches_dense_loop_across_the_switch():
         perplexity=20.0, iterations=12, exaggeration_iters=5, momentum_switch_iter=7, seed=9
     )
     emb = tsne_embed(x, config=cfg)
-    p = joint_affinities(x, cfg.perplexity)
+    p = _dense_p(joint_affinities(x, cfg.perplexity), n)
     y = np.random.default_rng(cfg.seed).normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)
     kl_trace = []
@@ -451,7 +487,7 @@ def test_tsne_embed_matches_dense_loop_across_the_switch():
 @pytest.mark.parametrize("n", sorted(EDGE_SIZES))
 def test_conditional_affinities_match_per_row_search(n):
     x = _cluster_points(n, seed=n + 1)
-    fast = _conditional_affinities(x, 15.0)
+    fast = _dense_conditionals(x, 15.0)
     ref = _per_row_affinities(_blocked_squared_distances(x), 15.0)
     assert np.array_equal(fast == 0.0, ref == 0.0)
     assert (ref == 0.0).any()
@@ -462,7 +498,7 @@ def test_conditional_affinities_cap_at_max_iter_and_ignore_the_diagonal():
     x = _cluster_points(120, seed=3)
     sq_dists = _blocked_squared_distances(x)
     for max_iter in (0, 1, 4):
-        fast = _conditional_affinities(x, 10.0, max_iter=max_iter)
+        fast = _dense_conditionals(x, 10.0, max_iter=max_iter)
         # the reference leaves each point's own zero distance out of its row
         assert (np.diagonal(fast) == 0.0).all()
         ref = _per_row_affinities(sq_dists, 10.0, max_iter=max_iter)
@@ -474,7 +510,7 @@ def test_conditional_affinities_clamp_rounded_distances_at_zero():
     x[60:] = x[:60]  # duplicates far from the origin
     sq = (x * x).sum(axis=1)
     assert (np.add.outer(sq, sq) - 2.0 * (x @ x.T) < 0.0).any()
-    fast = _conditional_affinities(x, 10.0)
+    fast = _dense_conditionals(x, 10.0)
     ref = _per_row_affinities(_blocked_squared_distances(x), 10.0)
     np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
 
@@ -488,10 +524,11 @@ def test_tsne_embed_peaks_in_the_affinities():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # joint_affinities holds P (one n x n array, built in place) and about 4
-    # blocks of search scratch (7.3 MB in all at n = 800); the iterations
-    # hold P and two tiles, less than that.
-    assert peak < n * n * 8 + 6 * BLOCK_BYTES
+    # joint_affinities holds P's upper-triangle tiles (3.35 MB at n = 800,
+    # against 5.12 MB for n x n) and two blocks of search scratch; the
+    # iterations hold the tiles and two tile buffers. No n x n array.
+    tile_bytes = sum(8 * (a.stop - a.start) * (b.stop - b.start) for a, b, _ in _tile_pairs(n))
+    assert peak < tile_bytes + 3 * BLOCK_BYTES
 
 
 def test_tsne_iteration_holds_two_tiles_and_o_n():
@@ -502,7 +539,7 @@ def test_tsne_iteration_holds_two_tiles_and_o_n():
     update = np.zeros_like(y)
     tracemalloc.start()
     try:
-        step = _TsneIteration(p)
+        step = _TsneIteration(p, n)
         step(y, update, EXAGGERATION, MOMENTUM_INIT)
         y[:5] *= 1e6  # a second step that passes over floored tiles
         step(y, update, 1.0, MOMENTUM_FINAL)

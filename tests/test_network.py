@@ -625,9 +625,9 @@ def test_train_step_holds_gradient_blocks_not_layers():
     peak = _peak_traced_bytes(
         lambda: train_step(model, x, y, 0.01, dropout_rate=0.5, input_noise_rate=0.2, rng=rng)
     )
-    # Two gradient blocks (the one just applied is still held while the next
-    # is formed) and the forward pass's activations, about half a block.
-    assert peak < 3 * BLOCK_BYTES
+    # One gradient block (each is dropped once applied, before the next is
+    # formed) and the forward pass's activations, about half a block.
+    assert peak < 2 * BLOCK_BYTES
 
 
 # --- integer rows at inference ---
