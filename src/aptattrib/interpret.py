@@ -10,8 +10,10 @@ embedding is exact O(n^2) t-SNE driven by the penultimate layer's
 activations, in pieces of at most network.BLOCK_BYTES, the budget
 init_model's draws also use. P is kept only as its TILE x TILE tiles on and
 above the diagonal (_tile_pairs), each its own contiguous array. The
-bandwidth search bisects a row block of points at once, on that block's
-squared distances, and each finished block goes straight into the tiles:
+bandwidth search takes safeguarded Newton steps on the entropy for a row
+block of points at once, on that block's squared distances, starting each
+point at 1 / its mean distance and bisecting where a Newton step would
+leave the point's bracket; each finished block goes straight into the tiles:
 its rows into the tiles on or above the diagonal, their transposes added
 into the mirror tiles above. Each iteration is one sweep over the same
 tiles. P and the Student-t kernel are symmetric, so each pair's kernel is
@@ -140,27 +142,11 @@ def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
     )
 
 
-def _block_entropies(dists: np.ndarray, beta: np.ndarray, cols: np.ndarray, p: np.ndarray):
-    """Entropies (nats) and row sums for one block; the unnormalized affinities go in p.
-
-    dists holds one distance row per entry of beta; cols[r] is the column of
-    row r's own point, whose affinity is zeroed after the exp. A row whose
-    affinities all underflow has entropy 0 and a row sum reported as 1.
-    """
-    np.multiply(dists, -beta[:, None], out=p)
-    np.exp(p, out=p)
-    p[np.arange(len(beta)), cols] = 0.0
-    sum_p = p.sum(axis=1)
-    pos = sum_p > 0.0
-    safe = np.where(pos, sum_p, 1.0)
-    h = np.where(pos, np.log(safe) + beta * np.einsum("ij,ij->i", dists, p) / safe, 0.0)
-    return h, safe
-
-
 def _conditional_affinities(
     points: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50
 ):
-    """Binary search per point for the Gaussian bandwidth hitting the target perplexity.
+    """Per point, the Gaussian bandwidth whose affinities hit the target perplexity,
+    found by safeguarded Newton steps on the entropy (see _search_block).
 
     Yields (rows, cond) for each row block of at most BLOCK_BYTES, in order:
     cond holds the conditional affinities of those rows to every point.
@@ -176,12 +162,19 @@ def _search_block(points, sq, s: slice, target: float, tol: float, max_iter: int
 
     The distances to every point (sq_i + sq_j - 2 x_i . x_j, clamped at 0,
     the own point's 0) are formed here, so no n x n distance matrix is made.
-    Every row starts at beta = 1 and follows the per-point rule: double
-    (halve) beta until the entropy is bracketed, then bisect, stopping within
-    tol of log(perplexity) or after max_iter updates. Every row is evaluated
-    at each step and only the rows still off target are updated, so a
-    converged row keeps its beta; the rows are the last evaluation's,
-    normalized. Holds two blocks: the distances and the affinities.
+    Each evaluation takes p = exp(-beta d) with the own point's p zeroed and
+    gives the entropy H = log sum p + beta E_p[d] (0 for a row whose
+    affinities all underflow) and Var_p(d). H falls in beta with
+    dH/dbeta = -beta Var_p(d). Each row starts at beta = 1 / its mean
+    distance to the n - 1 other points (1 if they are all 0) and takes the
+    Newton step beta + (H - log perplexity) / (beta Var_p(d)) when it lands
+    strictly inside the row's bracket, which every step narrows; otherwise
+    it doubles (halves) beta until the entropy is bracketed, then bisects.
+    A row stops within tol of log(perplexity) or after max_iter updates.
+    Every row is evaluated at each step and only the rows still off target
+    are updated, so a converged row keeps its beta; the rows are the last
+    evaluation's, normalized. Holds two blocks: the distances and the
+    affinities.
     """
     own = np.arange(s.start, s.stop)
     dists = points[s] @ points.T
@@ -191,22 +184,33 @@ def _search_block(points, sq, s: slice, target: float, tol: float, max_iter: int
     dists[np.arange(len(own)), own] = 0.0
     np.maximum(dists, 0.0, out=dists)
     p = np.empty_like(dists)
-    beta = np.ones(len(own))
-    beta_min = np.full(len(own), -np.inf)
+    total = dists.sum(axis=1)
+    beta = (len(sq) - 1) / np.where(total > 0.0, total, len(sq) - 1)  # 1 if all 0
+    beta_min = np.zeros(len(own))  # halving is bisecting toward 0
     beta_max = np.full(len(own), np.inf)
     for step in range(max_iter + 1):
-        h, sum_p = _block_entropies(dists, beta, own, p)
+        np.multiply(dists, -beta[:, None], out=p)
+        np.exp(p, out=p)
+        p[np.arange(len(own)), own] = 0.0
+        sum_p = p.sum(axis=1)
+        sum_p[sum_p == 0.0] = 1.0  # all underflowed: p = 0, so mean, var and h are 0
+        mean = np.einsum("ij,ij->i", dists, p) / sum_p
+        h = np.log(sum_p) + beta * mean
         moving = ~(np.abs(h - target) < tol)  # a NaN entropy is off target
         if step == max_iter or not moving.any():
             break
         up = h > target  # a NaN entropy goes down
-        raised = np.where(beta_max == np.inf, beta * 2.0, (beta + beta_max) / 2.0)
-        lowered = np.where(beta_min == -np.inf, beta / 2.0, (beta + beta_min) / 2.0)
         beta_min = np.where(moving & up, beta, beta_min)
         beta_max = np.where(moving & ~up, beta, beta_max)
-        beta = np.where(moving, np.where(up, raised, lowered), beta)
-    p /= sum_p[:, None]
-    return p
+        var = np.einsum("ij,ij,ij->i", dists, dists, p) / sum_p - mean * mean
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = beta + (h - target) / (beta * var)
+        # the comparisons fail for a NaN or infinite step
+        newton_ok = (var > 0.0) & (newton > beta_min) & (newton < beta_max)
+        raised = np.where(beta_max == np.inf, beta * 2.0, (beta + beta_max) / 2.0)
+        fallback = np.where(up, raised, (beta + beta_min) / 2.0)
+        beta = np.where(moving, np.where(newton_ok, newton, fallback), beta)
+    return np.divide(p, sum_p[:, None], out=p)
 
 
 def _tile_pairs(n: int):

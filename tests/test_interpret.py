@@ -341,35 +341,55 @@ def _dense_step(p, y, update, factor, momentum):
     return y - y.mean(axis=0), update, grad, float((p * np.log(p / q)).sum())
 
 
-def _per_row_affinities(sq_dists, perplexity, tol=1e-5, max_iter=50):
-    """Bandwidth bisection one point at a time over its n - 1 off-diagonal distances."""
+def _per_row_affinities(sq_dists, perplexity, tol=1e-5, max_iter=50, steps=None):
+    """The safeguarded Newton bandwidth search one point at a time.
 
-    def entropy_and_row(row, beta):
+    Each point's row holds its own zero distance, so its sums run over the
+    same n terms in the same order as the row-blocked search's, but its own
+    affinity is zeroed after the exp. steps, a list, gets one string per
+    point: "N" for each Newton update, "F" for each double, halve or bisect.
+    """
+
+    def evaluate(row, i, beta):
+        """Entropy, Var_p(d) and the normalized row at beta."""
         p = np.exp(-row * beta)
+        p[i] = 0.0
         sum_p = p.sum()
         if sum_p <= 0.0:
-            return 0.0, np.zeros_like(p)
-        return np.log(sum_p) + beta * float(row @ p) / sum_p, p / sum_p
+            return 0.0, 0.0, p
+        mean = np.einsum("i,i->", row, p) / sum_p
+        var = np.einsum("i,i,i->", row, row, p) / sum_p - mean * mean
+        return np.log(sum_p) + beta * mean, var, p / sum_p
 
     n = sq_dists.shape[0]
     target = np.log(perplexity)
     cond = np.zeros((n, n))
-    mask = ~np.eye(n, dtype=bool)
     for i in range(n):
-        row = sq_dists[i][mask[i]]
-        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        h, p = entropy_and_row(row, beta)
+        row = sq_dists[i]
+        total = row.sum()
+        beta = (n - 1) / total if total > 0.0 else 1.0
+        beta_min, beta_max = 0.0, np.inf
+        h, var, p = evaluate(row, i, beta)
+        taken = ""
         for _ in range(max_iter):
             if abs(h - target) < tol:
                 break
             if h > target:
                 beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
+                fallback = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
             else:
                 beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-            h, p = entropy_and_row(row, beta)
-        cond[i][mask[i]] = p
+                fallback = (beta + beta_min) / 2.0
+            with np.errstate(divide="ignore", over="ignore"):
+                newton = beta + (h - target) / (beta * var) if var > 0.0 else np.nan
+            if beta_min < newton < beta_max:
+                beta, taken = newton, taken + "N"
+            else:
+                beta, taken = fallback, taken + "F"
+            h, var, p = evaluate(row, i, beta)
+        cond[i] = p
+        if steps is not None:
+            steps.append(taken)
     return cond
 
 
@@ -499,7 +519,7 @@ def test_conditional_affinities_cap_at_max_iter_and_ignore_the_diagonal():
     sq_dists = _blocked_squared_distances(x)
     for max_iter in (0, 1, 4):
         fast = _dense_conditionals(x, 10.0, max_iter=max_iter)
-        # the reference leaves each point's own zero distance out of its row
+        # the reference zeroes each point's own affinity in its row
         assert (np.diagonal(fast) == 0.0).all()
         ref = _per_row_affinities(sq_dists, 10.0, max_iter=max_iter)
         np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
@@ -513,6 +533,47 @@ def test_conditional_affinities_clamp_rounded_distances_at_zero():
     fast = _dense_conditionals(x, 10.0)
     ref = _per_row_affinities(_blocked_squared_distances(x), 10.0)
     np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
+
+
+def _entropies(cond):
+    """Each row's entropy in nats, from its normalized conditional affinities."""
+    return -np.einsum("ij,ij->i", cond, np.log(np.where(cond > 0.0, cond, 1.0)))
+
+
+def test_bandwidth_search_takes_few_evaluations_per_block(monkeypatch):
+    x = _cluster_points(1200, seed=1)
+    evaluations = []
+    exp = np.exp
+
+    def counting_exp(a, *args, **kwargs):
+        evaluations.append(np.ndim(a) == 2)  # each evaluation exps a whole row block
+        return exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    entropies = [_entropies(c) for _, c in _conditional_affinities(x, 30.0)]
+    monkeypatch.undo()
+    # bisection from beta = 1 takes about 21 evaluations per block here
+    assert sum(evaluations) <= 10 * len(entropies)
+    # recomputed from the normalized rows, so within rounding of the search's own
+    off = np.abs(np.concatenate(entropies) - np.log(30.0))
+    assert off.max() < 1e-5 + 1e-10
+
+
+def test_conditional_affinities_fall_back_off_the_newton_step():
+    x = 1e4 + _cluster_points(120, seed=3)
+    x[60:] = x[:60]  # duplicates far from the origin
+    x[0] += 1e3  # an outlier whose affinities underflow at the betas it needs
+    steps = []
+    ref = _per_row_affinities(_blocked_squared_distances(x), 10.0, steps=steps)
+    fast = _dense_conditionals(x, 10.0)
+    np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=np.finfo(np.float64).tiny)
+    # Newton steps do most of the work; some rows that converge still leave
+    # their bracket once, and the outlier alone runs out of steps off target
+    assert sum(s.count("N") for s in steps) > 100
+    assert sum(s.count("F") for s in steps[1:]) > 0
+    capped = np.array([len(s) == 50 for s in steps])
+    assert np.flatnonzero(capped).tolist() == [0]
+    assert (np.abs(_entropies(fast[~capped]) - np.log(10.0)) < 1e-5 + 1e-10).all()
 
 
 def test_tsne_embed_peaks_in_the_affinities():
