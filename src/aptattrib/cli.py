@@ -30,6 +30,7 @@ pipeline is reproducible from a single number.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -237,9 +238,11 @@ def _check_fit(name: str, arch: ArchSpec, rows, classes=None, task: str = "") ->
         )
 
 
-def _write_report(report, path: str | None) -> None:
+def _write_report(records, path: str | None) -> None:
     if path:
-        Path(path).write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(
+            json.dumps([dataclasses.asdict(r) for r in records], indent=2) + "\n", encoding="utf-8"
+        )
         print(f"wrote training report to {path}", file=sys.stderr)
 
 
@@ -285,10 +288,10 @@ def cmd_train(args, settings: dict) -> int:
         f"for {config.epochs} epochs",
         file=sys.stderr,
     )
-    report = train(model, rows, labels, config)
+    records = train(model, rows, labels, config)
     save_model(model, args.model_out)
     print(f"wrote model to {args.model_out}", file=sys.stderr)
-    _write_report(report, args.report_out)
+    _write_report(records, args.report_out)
     return 0
 
 
@@ -302,10 +305,10 @@ def cmd_transfer(args, settings: dict) -> int:
         f"for {config.epochs} epochs",
         file=sys.stderr,
     )
-    model, report = transfer_train(base, len(classes), rows, labels, config)
+    model, records = transfer_train(base, len(classes), rows, labels, config)
     save_model(model, args.model_out)
     print(f"wrote transferred model to {args.model_out}", file=sys.stderr)
-    _write_report(report, args.report_out)
+    _write_report(records, args.report_out)
     return 0
 
 
@@ -334,7 +337,10 @@ def cmd_importance(args, settings: dict) -> int:
     text = importance_csv(ranking, args.top)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote top {min(args.top, len(ranking))} features to {args.out}", file=sys.stderr)
+        print(
+            f"wrote top {min(args.top, len(ranking.tokens))} features to {args.out}",
+            file=sys.stderr,
+        )
     else:
         sys.stdout.write(text)
     return 0
@@ -353,7 +359,7 @@ def cmd_embed(args, settings: dict) -> int:
     embedding = embed_corpus(model, rows, nations, families, args.label_kind, config)
     export_embedding_csv(embedding, args.csv_out)
     print(
-        f"wrote coordinates to {args.csv_out} (final KL {embedding.final_kl:.4f})",
+        f"wrote coordinates to {args.csv_out} (final KL {embedding.kl_trace[-1]:.4f})",
         file=sys.stderr,
     )
     if args.svg_out:

@@ -48,18 +48,12 @@ class Corpus:
             if r.id in seen:
                 raise CorpusError(f"duplicate report id {r.id!r}")
             seen.add(r.id)
-        self.nations: frozenset[str] = frozenset(
-            r.nation for r in self.reports if r.nation is not None
-        )
         self.families: frozenset[str] = frozenset(
             r.family for r in self.reports if r.family is not None
         )
 
     def __len__(self) -> int:
         return len(self.reports)
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.reports]
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ class SynthSpec:
     p_family: float = 0.6
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_fields(self)
         for name, kind in _field_types(SynthSpec).items():
             if kind is int and getattr(self, name) < 0:
@@ -106,8 +100,6 @@ class SynthSpec:
                 raise CorpusError(f"{name} must be in [0,1], got {value}")
         if self.noise_pool_size > 2**63:
             raise CorpusError(f"noise_pool_size must be <= 2**63, got {self.noise_pool_size}")
-
-    __post_init__ = validate  # a config checks itself when it is built
 
 
 def _parse_json(raw: bytes, error: type[ValueError], where: str):

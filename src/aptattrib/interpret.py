@@ -75,9 +75,6 @@ class ImportanceRanking:
     scores: np.ndarray
     order: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass(frozen=True)
 class TsneConfig:
@@ -87,7 +84,7 @@ class TsneConfig:
     momentum_switch_iter: int = 250
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_fields(self)
         if self.perplexity < 1.0:
             raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
@@ -97,8 +94,6 @@ class TsneConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-    __post_init__ = validate  # a config checks itself when it is built
-
 
 @dataclass
 class Embedding2D:
@@ -107,13 +102,6 @@ class Embedding2D:
     points: np.ndarray
     labels: tuple[str | None, ...]
     kl_trace: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def final_kl(self) -> float:
-        return self.kl_trace[-1]
 
 
 def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
@@ -142,58 +130,52 @@ def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
     )
 
 
-def _conditional_affinities(
-    points: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50
-):
-    """Per point, the Gaussian bandwidth whose affinities hit the target perplexity,
-    found by safeguarded Newton steps on the entropy (see _search_block).
-
-    Yields (rows, cond) for each row block of at most BLOCK_BYTES, in order:
-    cond holds the conditional affinities of those rows to every point.
-    """
-    sq = (points * points).sum(axis=1)
-    target = np.log(perplexity)
-    for s in _row_blocks(len(points), 8 * len(points)):
-        yield s, _search_block(points, sq, s, target, tol, max_iter)
-
-
-def _search_block(points, sq, s: slice, target: float, tol: float, max_iter: int):
-    """The conditional affinities of rows s, searched on their squared distances.
+def _search_block(points, sq, s: slice, target: float, tol: float = 1e-5, max_iter: int = 50):
+    """The conditional affinities of rows s to every point: per row, the
+    Gaussian bandwidth whose affinities reach entropy target (the log of the
+    perplexity), found by safeguarded Newton steps on the entropy. sq holds
+    every point's squared norm.
 
     The distances to every point (sq_i + sq_j - 2 x_i . x_j, clamped at 0,
     the own point's 0) are formed here, so no n x n distance matrix is made.
-    Each evaluation takes p = exp(-beta d) with the own point's p zeroed and
-    gives the entropy H = log sum p + beta E_p[d] (0 for a row whose
-    affinities all underflow) and Var_p(d). H falls in beta with
-    dH/dbeta = -beta Var_p(d). Each row starts at beta = 1 / its mean
-    distance to the n - 1 other points (1 if they are all 0) and takes the
-    Newton step beta + (H - log perplexity) / (beta Var_p(d)) when it lands
-    strictly inside the row's bracket, which every step narrows; otherwise
-    it doubles (halves) beta until the entropy is bracketed, then bisects.
-    A row stops within tol of log(perplexity) or after max_iter updates.
-    Every row is evaluated at each step and only the rows still off target
-    are updated, so a converged row keeps its beta; the rows are the last
-    evaluation's, normalized. Holds two blocks: the distances and the
-    affinities.
+    Each row starts at beta = 1 / its mean distance to the n - 1 other
+    points (1 if they are all 0). Its distances are then measured from its
+    nearest other point: that distance is subtracted, and the own point's
+    stays 0. This scales the row's p by a constant and shifts E_p[d] by that
+    distance, so H and the normalized row are unchanged in exact arithmetic,
+    but the nearest point's p is exp(0) = 1 at every beta, so no row's
+    affinities all underflow. Each evaluation takes p = exp(-beta d) with
+    the own point's p zeroed and gives the entropy
+    H = log sum p + beta E_p[d] and Var_p(d). H falls in beta with
+    dH/dbeta = -beta Var_p(d). A row takes the Newton step
+    beta + (H - target) / (beta Var_p(d)) when it lands strictly inside the
+    row's bracket, which every step narrows; otherwise it doubles (halves)
+    beta until the entropy is bracketed, then bisects. A row stops within
+    tol of target or after max_iter updates. Every row is evaluated at each
+    step and only the rows still off target are updated, so a converged row
+    keeps its beta; the rows are the last evaluation's, normalized. Holds
+    two blocks: the distances and the affinities.
     """
-    own = np.arange(s.start, s.stop)
+    diag = (np.arange(s.stop - s.start), np.arange(s.start, s.stop))  # each row's own point
     dists = points[s] @ points.T
     # -2 x_i . x_j + (sq_i + sq_j) has the bits of (sq_i + sq_j) - 2 x_i . x_j
     dists *= -2.0
     dists += np.add.outer(sq[s], sq)
-    dists[np.arange(len(own)), own] = 0.0
+    dists[diag] = 0.0
     np.maximum(dists, 0.0, out=dists)
     p = np.empty_like(dists)
     total = dists.sum(axis=1)
     beta = (len(sq) - 1) / np.where(total > 0.0, total, len(sq) - 1)  # 1 if all 0
-    beta_min = np.zeros(len(own))  # halving is bisecting toward 0
-    beta_max = np.full(len(own), np.inf)
+    dists[diag] = np.inf  # so the row minimum is over the other points
+    dists -= dists.min(axis=1)[:, None]
+    dists[diag] = 0.0
+    beta_min = np.zeros_like(beta)  # halving is bisecting toward 0
+    beta_max = np.full_like(beta, np.inf)
     for step in range(max_iter + 1):
         np.multiply(dists, -beta[:, None], out=p)
         np.exp(p, out=p)
-        p[np.arange(len(own)), own] = 0.0
+        p[diag] = 0.0
         sum_p = p.sum(axis=1)
-        sum_p[sum_p == 0.0] = 1.0  # all underflowed: p = 0, so mean, var and h are 0
         mean = np.einsum("ij,ij->i", dists, p) / sum_p
         h = np.log(sum_p) + beta * mean
         moving = ~(np.abs(h - target) < tol)  # a NaN entropy is off target
@@ -228,8 +210,9 @@ def joint_affinities(points: np.ndarray, perplexity: float) -> list[np.ndarray]:
     One contiguous float64 array per (a, b, w) of _tile_pairs(n), in that
     order: P[a, b] for the tiles on and above the diagonal, each P[b, a]
     being its transpose. Points are widened to float64 first. Each row block
-    of the bandwidth search is copied into the tiles on or above the
-    diagonal and its transpose added into the mirror tiles above, so an
+    of at most BLOCK_BYTES gets its conditional affinities from
+    _search_block, which are copied into the tiles on or above the diagonal
+    and their transpose added into the mirror tiles above, so an
     off-diagonal entry is c_ij + c_ji. Once every row is in, a diagonal tile
     d becomes d + d.T, and P is divided by 2n, floored at P_FLOOR and
     divided by its sum, an off-diagonal tile counting twice. Building P
@@ -237,11 +220,14 @@ def joint_affinities(points: np.ndarray, perplexity: float) -> list[np.ndarray]:
     """
     x = np.asarray(points, dtype=np.float64)
     n = len(x)
+    sq = (x * x).sum(axis=1)
+    target = np.log(perplexity)
     pairs = list(_tile_pairs(n))
     tiles = {(a.start, b.start): np.empty((a.stop - a.start, b.stop - b.start))
              for a, b, _ in pairs}
     bands = [a for a, b, _ in pairs if a == b]
-    for s, cond in _conditional_affinities(x, perplexity):
+    for s in _row_blocks(n, 8 * n):
+        cond = _search_block(x, sq, s, target)
         for r in bands:  # the rows of s in tile row r
             lo, hi = max(s.start, r.start), min(s.stop, r.stop)
             if lo >= hi:
@@ -477,7 +463,7 @@ def export_scatter_svg(embedding: Embedding2D, path: str | Path) -> None:
     axis (all values equal) maps to the viewport midline. The y axis is
     flipped so larger values plot upward.
     """
-    if len(embedding) == 0:
+    if len(embedding.points) == 0:
         raise ValueError("embedding is empty")
     xs = _scale_axis(embedding.points[:, 0], SVG_MARGIN, SVG_WIDTH - SVG_MARGIN)
     ys = _scale_axis(embedding.points[:, 1], SVG_HEIGHT - SVG_MARGIN, SVG_MARGIN)

@@ -5,9 +5,10 @@ through a max-subtracted softmax. Training is plain mini-batch gradient
 descent on softmax cross-entropy with inverted dropout on hidden layers,
 zeroing noise on the input layer, and a geometric learning-rate decay.
 Weights live in float32; gradient checking runs a float64 path. Rows and
-labels are checked once where they enter (_inputs): forward, train_step and
-evaluate check each call's batch, and train checks its training set and
-validation pair before the first step.
+labels are checked once where they enter (_inputs): forward (and so
+penultimate_activations), train_step and evaluate check each call's batch,
+and train checks its training set and validation pair before the first
+step.
 
 The binary inputs are sparse, so layer 0 has a row-sparse path. When W0
 spans more than one row block and at most SPARSE_MAX_DENSITY of a batch's
@@ -16,8 +17,9 @@ own set columns alone, row[idx] @ W0[idx], so rows of W0 that a row does not
 set are never read. Every other batch takes the dense x @ W0. The two
 paths differ only in float32 summation order. Integer rows (a uint8 feature
 matrix) enter layer 0 as they are: the row-sparse path casts each row's set
-values alone, and only the dense path casts the batch, once, so evaluate and
-penultimate_activations never hold a float copy of the whole input.
+values alone, and only the dense path casts the batch, once, so forward,
+evaluate and penultimate_activations never hold a float copy of the whole
+input.
 
 Backprop (_backward_pass) is one loop and the one place that knows how a
 parameter's gradient is shaped. It yields (array, rows, grad) for each
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -135,12 +137,12 @@ class TrainConfig:
     lr_init: float = 1e-2
     lr_final: float = 1e-5
     epochs: int = 1000
-    dropout_rate: float = 0.5
+    dropout_rate: float = 0.2
     input_noise_rate: float = 0.2
     batch_size: int = 32
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_fields(self)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
@@ -155,8 +157,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
-    __post_init__ = validate  # a config checks itself when it is built
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -167,22 +167,9 @@ class EpochRecord:
 
 
 @dataclass
-class TrainReport:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"epoch": r.epoch, "lr": r.lr, "train_loss": r.train_loss, "val_acc": r.val_acc}
-            for r in self.records
-        ]
-
-
-@dataclass
 class EvalResult:
     accuracy: float
     confusion: np.ndarray
-    predictions: np.ndarray
-    probabilities: np.ndarray
 
 
 def _usable_cpus() -> int:
@@ -397,27 +384,18 @@ def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     return x, y
 
 
-def _infer(model: MlpModel, x) -> list[np.ndarray]:
-    """Inference activations of a vector or batch, input layer first.
+def forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Run the network on a vector or batch; returns (node-layer activations, probabilities).
 
-    The input layer is the checked rows; integer rows stay as they are.
+    Inference only, so deterministic: no input noise, no dropout. The input
+    layer comes back as the checked rows, so integer rows keep their dtype;
+    every other layer is in the weights' dtype.
     """
     single = np.ndim(x) == 1
     batch, _ = _inputs(model, x)
     acts, _ = _forward_pass(model.weights, model.biases, batch)
-    return [a[0] for a in acts] if single else acts
-
-
-def forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Run the network on a vector or batch; returns (node-layer activations, probabilities).
-
-    Inference only, so deterministic: no input noise, no dropout. Every
-    layer, the input included, comes back in the weights' dtype, so integer
-    rows are cast here, once; evaluate and penultimate_activations do not
-    cast them.
-    """
-    acts = _infer(model, x)
-    acts[0] = acts[0].astype(model.weights[0].dtype, copy=False)
+    if single:
+        acts = [a[0] for a in acts]
     return acts, acts[-1]
 
 
@@ -484,14 +462,14 @@ def train(
     train_y: np.ndarray,
     config: TrainConfig,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
-) -> TrainReport:
-    """Train in place for config.epochs; deterministic given config.seed.
+) -> list[EpochRecord]:
+    """Train in place for config.epochs; returns one EpochRecord per epoch.
 
-    Each epoch's permutation of the rows, input noise, and dropout all draw
-    from one generator seeded once at the start, so identical configs give
-    byte-identical models. The whole training set and the validation pair
-    are checked before the first step, so bad input leaves the model
-    untouched.
+    Deterministic given config.seed: each epoch's permutation of the rows,
+    input noise, and dropout all draw from one generator seeded once at the
+    start, so identical configs give byte-identical models. The whole
+    training set and the validation pair are checked before the first step,
+    so bad input leaves the model untouched.
     """
     x, y = _inputs(model, train_x, train_y)
     n = x.shape[0]
@@ -500,7 +478,7 @@ def train(
     if validation is not None:
         validation = _inputs(model, *validation)
     rng = np.random.default_rng(config.seed)
-    report = TrainReport()
+    records = []
     # A diverging run ends in one NumericalError, not numpy overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
@@ -525,10 +503,10 @@ def train(
             val_acc = None
             if validation is not None:
                 val_acc = evaluate(model, validation[0], validation[1]).accuracy
-            report.records.append(
+            records.append(
                 EpochRecord(epoch=epoch, lr=lr, train_loss=total_loss / n, val_acc=val_acc)
             )
-    return report
+    return records
 
 
 def evaluate(model: MlpModel, data_x: np.ndarray, data_y: np.ndarray) -> EvalResult:
@@ -537,19 +515,16 @@ def evaluate(model: MlpModel, data_x: np.ndarray, data_y: np.ndarray) -> EvalRes
         raise ValueError("evaluation requires labels")
     x, y = _inputs(model, data_x, data_y)
     acts, _ = _forward_pass(model.weights, model.biases, x)
-    probs = acts[-1]
-    preds = probs.argmax(axis=1)
+    preds = acts[-1].argmax(axis=1)
     confusion = np.zeros((model.arch.output_size, model.arch.output_size), dtype=np.int64)
     np.add.at(confusion, (y, preds), 1)
     accuracy = float((preds == y).mean()) if len(y) else 0.0
-    return EvalResult(
-        accuracy=accuracy, confusion=confusion, predictions=preds, probabilities=probs
-    )
+    return EvalResult(accuracy=accuracy, confusion=confusion)
 
 
 def penultimate_activations(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Infer-mode activations of the last hidden node-layer (post-ReLU)."""
-    return _infer(model, x)[-2]
+    return forward(model, x)[0][-2]
 
 
 def gradient_check(

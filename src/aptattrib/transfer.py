@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import ArchSpec, MlpModel, TrainConfig, TrainReport, init_model, train
+from .network import ArchSpec, EpochRecord, MlpModel, TrainConfig, init_model, train
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -50,12 +50,11 @@ def transfer_train(
     train_y: np.ndarray,
     config: TrainConfig,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[MlpModel, TrainReport]:
+) -> tuple[MlpModel, list[EpochRecord]]:
     """Put a head for new_classes, drawn under config.seed, on base's trunk and train it.
 
-    The returned model shares base's trunk arrays (see replace_head), which
-    training leaves byte-identical.
+    Returns the model and train's per-epoch records. The model shares base's
+    trunk arrays (see replace_head), which training leaves byte-identical.
     """
     model = replace_head(base, new_classes, config.seed)
-    report = train(model, train_x, train_y, config, validation=validation)
-    return model, report
+    return model, train(model, train_x, train_y, config, validation=validation)

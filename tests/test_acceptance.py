@@ -45,6 +45,7 @@ from aptattrib.interpret import (
 from aptattrib.network import (
     ArchSpec,
     TrainConfig,
+    default_arch,
     evaluate,
     gradient_check,
     init_model,
@@ -109,11 +110,11 @@ def dataset():
 def family_model(dataset):
     t0 = time.monotonic()
     model = init_model(ArchSpec((dataset.vocab_size, 128, 64, 32, 4)), seed=21)
-    report = train(
+    records = train(
         model, dataset.xtr, dataset.ytr_f, _FIT_CFG,
         validation=(dataset.xva, dataset.yva_f),
     )
-    return model, report, time.monotonic() - t0
+    return model, records, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +196,8 @@ def test_criterion_2_featurizer_matches_oracle(capsys):
 
 
 def test_criterion_3_family_classification(dataset, family_model, capsys):
-    _, report, fit_seconds = family_model
-    val_acc = report.records[-1].val_acc
+    _, records, fit_seconds = family_model
+    val_acc = records[-1].val_acc
     elapsed = dataset.prep_seconds + fit_seconds
     ok = val_acc is not None and val_acc >= 0.95 and elapsed < 300.0
     _verdict(capsys, 3, ok, f"family validation accuracy {val_acc:.4f} (floor 0.95), {elapsed:.1f}s")
@@ -224,6 +225,17 @@ def test_criterion_5_transfer_learning(dataset, family_model, direct_model, caps
         f"transfer accuracy {accuracy:.4f} vs direct {direct_acc:.4f} "
         f"(allowed gap 0.05), trunk bytes intact: {trunk_intact}, {elapsed:.1f}s",
     )
+
+
+def test_default_stack_learns_held_out_attribution(dataset):
+    """The paper's default stack (640-2000-1000x6-500-2 here) with every
+    TrainConfig default but the epoch count, whose budget is 20 epochs. At
+    dropout 0.5 it stayed near chance on this dataset (0.50-0.61 held-out
+    over init seeds 1-3); at the default 0.2 it reads 1.000."""
+    model = init_model(default_arch(dataset.vocab_size, 2), seed=1)
+    train(model, dataset.xtr, dataset.ytr_n, TrainConfig(epochs=20))
+    accuracy = evaluate(model, dataset.xte, dataset.yte_n).accuracy
+    assert accuracy >= 0.90, f"held-out nation accuracy {accuracy:.4f} (floor 0.90)"
 
 
 def _paths_oracle(weights):

@@ -11,9 +11,9 @@ import pytest
 from aptattrib import cli
 from aptattrib.cli import derive_seed, load_config, main
 from aptattrib.corpus import SynthSpec
-from aptattrib.featurize import load_matrix, load_vocabulary, save_matrix
+from aptattrib.featurize import encode_labels, load_matrix, load_vocabulary, save_matrix
 from aptattrib.interpret import TsneConfig
-from aptattrib.network import ArchSpec, TrainConfig, init_model, load_model, save_model
+from aptattrib.network import ArchSpec, TrainConfig, init_model, load_model, save_model, train
 
 
 def test_derive_seed_is_stable_and_stage_dependent():
@@ -128,9 +128,21 @@ def test_pipeline_products(pipeline, capsys):
         assert nat_model.weights[l].tobytes() == fam_model.weights[l].tobytes()
     assert nat_model.trainable[:-1] == [False] * (len(nat_model.trainable) - 1)
 
-    report = json.loads((tmp_path / "train_report.json").read_text())
-    assert len(report) == 3
-    assert {"epoch", "lr", "train_loss", "val_acc"} == set(report[0])
+    text = (tmp_path / "train_report.json").read_text()
+    report = json.loads(text)
+    assert [list(r) for r in report] == [["epoch", "lr", "train_loss", "val_acc"]] * 3
+    # The same training in the library gives the file's exact text: one
+    # object per epoch in that key order, indented by 2, then a newline.
+    _, _, families = load_matrix(cfg["paths"]["matrix"])
+    _, labels = encode_labels(families)
+    model = init_model(fam_model.arch, derive_seed(5, "train-init"))
+    config = TrainConfig(epochs=3, batch_size=16, lr_final=1e-3, seed=derive_seed(5, "train"))
+    records = [
+        {"epoch": r.epoch, "lr": r.lr, "train_loss": r.train_loss, "val_acc": r.val_acc}
+        for r in train(model, rows, labels, config)
+    ]
+    assert text == json.dumps(records, indent=2) + "\n"
+    assert text.startswith('[\n  {\n    "epoch": 0,\n    "lr": 0.01,\n    "train_loss": ')
 
     assert main(["eval", *args, "--task", "nation"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -25,6 +25,10 @@ def _report(rid, text="alpha beta", nation=None, family=None):
     return LabeledReport(id=rid, raw_text=text, nation=nation, family=family)
 
 
+def _ids(corpus):
+    return [r.id for r in corpus.reports]
+
+
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(CorpusError, match="duplicate"):
         Corpus([_report("a"), _report("a")])
@@ -33,7 +37,6 @@ def test_corpus_rejects_duplicate_ids():
 def test_corpus_allows_zero_reports():
     c = Corpus([])
     assert len(c) == 0
-    assert c.nations == frozenset()
     assert c.families == frozenset()
 
 
@@ -50,10 +53,9 @@ def test_corpus_collects_label_sets():
             _report("c"),
         ]
     )
-    assert c.nations == frozenset({"n0", "n1"})
     assert c.families == frozenset({"f0"})
     assert len(c) == 3
-    assert c.ids() == ["a", "b", "c"]
+    assert _ids(c) == ["a", "b", "c"]
 
 
 _COUNT_FIELDS = (
@@ -82,7 +84,7 @@ def test_synth_spec_validation(kwargs):
     (name,) = kwargs
     match = f"{name} must be >= 0" if name in _COUNT_FIELDS else name
     with pytest.raises(ValueError, match=match):
-        SynthSpec(**kwargs).validate()
+        SynthSpec(**kwargs)
 
 
 def test_synth_spec_checks_itself_when_built():
@@ -198,7 +200,7 @@ def test_synth_corpus_shape_and_labels():
     spec = SynthSpec(nations=2, families_per_nation=3, reports_per_family=4, seed=9)
     c = generate_synthetic_corpus(spec)
     assert len(c) == 2 * 3 * 4
-    assert c.nations == frozenset({"nation_0", "nation_1"})
+    assert {r.nation for r in c.reports} == {"nation_0", "nation_1"}
     assert c.families == frozenset(
         {"family_0_0", "family_0_1", "family_0_2", "family_1_0", "family_1_1", "family_1_2"}
     )
@@ -273,7 +275,7 @@ def test_export_and_load_round_trip(tmp_path):
     c = generate_synthetic_corpus(spec)
     manifest = export_corpus(c, tmp_path / "corpus")
     loaded = load_corpus(manifest)
-    assert loaded.ids() == c.ids()
+    assert _ids(loaded) == _ids(c)
     for orig, back in zip(c.reports, loaded.reports):
         assert back.raw_text == orig.raw_text
         assert back.nation == orig.nation
@@ -292,7 +294,6 @@ def test_load_corpus_empty_manifest(tmp_path):
     path.write_text("")
     c = load_corpus(path)
     assert len(c) == 0
-    assert c.nations == frozenset()
 
 
 def test_family_disjoint_split_empty_test_families():
@@ -300,7 +301,7 @@ def test_family_disjoint_split_empty_test_families():
     split = family_disjoint_split(c, set(), val_per_family=0)
     assert len(split.test) == 0
     assert len(split.validation) == 0
-    assert split.train.ids() == c.ids()
+    assert _ids(split.train) == _ids(c)
 
 
 def test_load_corpus_missing_manifest(tmp_path):
@@ -472,9 +473,8 @@ def test_family_disjoint_split_partitions():
     assert "f2" not in tv_families
     assert len(split.validation) == 4
     assert len(split.train) == 5 + 4 - 4
-    assert sorted(split.train.ids() + split.validation.ids() + split.test.ids()) == sorted(
-        c.ids()
-    )
+    parts = (split.train, split.validation, split.test)
+    assert sorted(i for part in parts for i in _ids(part)) == sorted(_ids(c))
 
 
 def test_family_disjoint_split_validation_takes_first_by_order():

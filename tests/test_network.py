@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -300,7 +301,7 @@ def test_learning_rate_epoch_out_of_range():
 )
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
-        TrainConfig(**kwargs).validate()
+        TrainConfig(**kwargs)
 
 
 def test_train_config_checks_itself_when_built():
@@ -642,12 +643,14 @@ def test_forward_on_uint8_rows_matches_float32_rows_bit_for_bit(density, sparse)
     assert _row_sparse(model.weights[0], rows) == sparse
     acts, probs = forward(model, rows)
     ref_acts, ref_probs = forward(model, x)
-    assert all(a.dtype == np.float32 and a.tobytes() == r.tobytes() for a, r in zip(acts, ref_acts))
+    assert acts[0] is rows  # the input layer is the rows as given, never cast
+    pairs = zip(acts[1:], ref_acts[1:])
+    assert all(a.dtype == np.float32 and a.tobytes() == r.tobytes() for a, r in pairs)
     assert probs.tobytes() == ref_probs.tobytes()
     y = np.arange(12) % 3
     got, ref = evaluate(model, rows, y), evaluate(model, x, y)
-    assert got.probabilities.tobytes() == ref.probabilities.tobytes()
-    assert (got.predictions == ref.predictions).all()
+    assert got.accuracy == ref.accuracy
+    assert got.confusion.tolist() == ref.confusion.tolist()
     assert penultimate_activations(model, rows).tobytes() == acts[-2].tobytes()
 
 
@@ -683,8 +686,8 @@ def test_frozen_trunk_head_matches_full_backward():
 def test_train_zero_epochs_is_identity():
     m = init_model(ArchSpec((4, 3, 2)), seed=3)
     before = _model_bytes(m)
-    report = train(m, np.ones((4, 4)), np.array([0, 1, 0, 1]), TrainConfig(epochs=0))
-    assert report.records == []
+    records = train(m, np.ones((4, 4)), np.array([0, 1, 0, 1]), TrainConfig(epochs=0))
+    assert records == []
     assert _model_bytes(m) == before
 
 
@@ -698,7 +701,7 @@ def test_train_deterministic_across_runs():
     r1 = train(m1, x, y, cfg)
     r2 = train(m2, x, y, cfg)
     assert _model_bytes(m1) == _model_bytes(m2)
-    assert r1.to_json() == r2.to_json()
+    assert r1 == r2
 
 
 def test_train_loss_decreases_on_synthetic_corpus():
@@ -710,9 +713,9 @@ def test_train_loss_decreases_on_synthetic_corpus():
     _, labels = encode_labels(families)
     m = init_model(ArchSpec((len(vocab), 64, 32, 16, 4)), seed=5)
     cfg = TrainConfig(epochs=50, lr_final=1e-4, seed=6)
-    report = train(m, rows, labels, cfg)
-    assert len(report.records) == 50
-    assert report.records[-1].train_loss < report.records[0].train_loss
+    records = train(m, rows, labels, cfg)
+    assert len(records) == 50
+    assert records[-1].train_loss < records[0].train_loss
 
 
 def test_train_records_validation_accuracy():
@@ -720,10 +723,10 @@ def test_train_records_validation_accuracy():
     x = rng.random((20, 5)).astype(np.float32)
     y = rng.integers(0, 2, size=20)
     m = init_model(ArchSpec((5, 4, 2)), seed=0)
-    report = train(m, x, y, TrainConfig(epochs=2, seed=1), validation=(x, y))
-    assert all(r.val_acc is not None for r in report.records)
-    report2 = train(m, x, y, TrainConfig(epochs=2, seed=1))
-    assert all(r.val_acc is None for r in report2.records)
+    records = train(m, x, y, TrainConfig(epochs=2, seed=1), validation=(x, y))
+    assert all(r.val_acc is not None for r in records)
+    records = train(m, x, y, TrainConfig(epochs=2, seed=1))
+    assert all(r.val_acc is None for r in records)
 
 
 def test_train_empty_set_errors():
@@ -772,10 +775,10 @@ def test_uint8_and_float32_rows_give_the_same_bits():
     y = rng.integers(0, 3, size=16)
     models = [init_model(ArchSpec((6, 5, 3)), seed=2) for _ in range(2)]
     cfg = TrainConfig(epochs=3, batch_size=4, seed=9)
-    reports = [train(m, rows, y, cfg) for m, rows in zip(models, (x, x.astype(np.float32)))]
+    records = [train(m, rows, y, cfg) for m, rows in zip(models, (x, x.astype(np.float32)))]
     assert _model_bytes(models[0]) == _model_bytes(models[1])
-    assert reports[0].to_json() == reports[1].to_json()
-    acts = [forward(models[0], rows)[0] for rows in (x, x.astype(np.float32))]
+    assert records[0] == records[1]
+    acts = [forward(models[0], rows)[0][1:] for rows in (x, x.astype(np.float32))]
     assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes() for a, b in zip(*acts))
 
 
@@ -799,10 +802,10 @@ def test_train_reports_numeric_failure_with_context():
 
 def test_train_report_json_shape():
     m = init_model(ArchSpec((4, 3, 2)), seed=1)
-    report = train(m, np.ones((4, 4)), np.array([0, 1, 0, 1]), TrainConfig(epochs=2))
-    data = report.to_json()
+    records = train(m, np.ones((4, 4)), np.array([0, 1, 0, 1]), TrainConfig(epochs=2))
+    data = [dataclasses.asdict(r) for r in records]  # what --report-out writes
     assert [r["epoch"] for r in data] == [0, 1]
-    assert all(set(r) == {"epoch", "lr", "train_loss", "val_acc"} for r in data)
+    assert all(list(r) == ["epoch", "lr", "train_loss", "val_acc"] for r in data)
 
 
 # --- evaluate ---
@@ -814,7 +817,6 @@ def test_evaluate_tie_predicts_lowest_class():
     x = np.ones((4, 3), dtype=np.float32)
     y = np.array([0, 0, 1, 1])
     result = evaluate(m, x, y)
-    assert result.predictions.tolist() == [0, 0, 0, 0]
     assert result.accuracy == 0.5
     assert result.confusion.tolist() == [[2, 0], [2, 0]]
 
@@ -837,7 +839,7 @@ def test_evaluate_confusion_sums_to_sample_count():
     y = rng.integers(0, 3, size=30)
     result = evaluate(m, x, y)
     assert result.confusion.sum() == 30
-    assert np.allclose(result.probabilities.sum(axis=1), 1.0, atol=1e-6)
+    assert result.confusion.shape == (3, 3)
 
 
 def test_evaluate_requires_labels():

@@ -126,21 +126,21 @@ def test_transfer_train_trunk_byte_identity():
     base = init_model(ArchSpec((8, 6, 4, 3)), seed=5)
     before = _trunk_bytes(base)
     cfg = TrainConfig(epochs=10, lr_final=1e-3, seed=6, dropout_rate=0.0, input_noise_rate=0.0)
-    model, report = transfer_train(base, 2, x, y, cfg)
+    model, records = transfer_train(base, 2, x, y, cfg)
     assert model.arch.layer_sizes == (8, 6, 4, 2)
     assert _trunk_bytes(model) == _trunk_bytes(base) == before
     assert np.shares_memory(model.weights[0], base.weights[0])
     assert model.trainable == [False, False, True]
-    assert len(report.records) == 10
+    assert len(records) == 10
 
 
 def test_transfer_train_zero_epochs_keeps_fresh_head():
     base = init_model(ArchSpec((8, 6, 4)), seed=5)
     cfg = TrainConfig(epochs=0, seed=6)
-    model, report = transfer_train(base, 2, np.ones((4, 8)), np.array([0, 1, 0, 1]), cfg)
+    model, records = transfer_train(base, 2, np.ones((4, 8)), np.array([0, 1, 0, 1]), cfg)
     fresh = replace_head(base, 2, seed=cfg.seed)
     assert model.weights[-1].tobytes() == fresh.weights[-1].tobytes()
-    assert report.records == []
+    assert records == []
 
 
 def test_saved_transferred_model_loads_writable(tmp_path):
