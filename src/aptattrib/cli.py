@@ -356,7 +356,8 @@ def cmd_embed(args, settings: dict) -> int:
         f"{config.iterations} iterations)",
         file=sys.stderr,
     )
-    embedding = embed_corpus(model, rows, nations, families, args.label_kind, config)
+    labels = nations if args.label_kind == "nation" else families
+    embedding = embed_corpus(model, rows, labels, config)
     export_embedding_csv(embedding, args.csv_out)
     print(
         f"wrote coordinates to {args.csv_out} (final KL {embedding.kl_trace[-1]:.4f})",

@@ -9,18 +9,20 @@ row block of at most network.BLOCK_BYTES at a time, never whole. The
 embedding is exact O(n^2) t-SNE driven by the penultimate layer's
 activations, in pieces of at most network.BLOCK_BYTES, the budget
 init_model's draws also use. P is kept only as its TILE x TILE tiles on and
-above the diagonal (_tile_pairs), each its own contiguous array. The
-bandwidth search takes safeguarded Newton steps on the entropy for a row
-block of points at once, on that block's squared distances, starting each
-point at 1 / its mean distance and bisecting where a Newton step would
-leave the point's bracket; each finished block goes straight into the tiles:
-its rows into the tiles on or above the diagonal, their transposes added
-into the mirror tiles above. Each iteration is one sweep over the same
-tiles. P and the Student-t kernel are symmetric, so each pair's kernel is
-formed once and gives the KL, the normalizer z and both gradient terms of
-the pair and its mirror. Building P and iterating each hold P's tiles,
-about n^2 / 2 + n TILE / 2 float64 values, and a few blocks; no n x n array
-is made.
+above the diagonal, each its own contiguous array, and joint_affinities
+hands each one back with its coordinates, as (a, b, w, tile). The bandwidth
+search takes safeguarded Newton steps on the entropy for a row block of
+points at once, on that block's squared distances, starting each point at
+1 / its mean distance and bisecting where a Newton step would leave the
+point's bracket. The blocks nest in the tile bands (the rows of one
+diagonal tile), so each finished block goes straight into its band's
+tiles: its rows into the tiles on or above the diagonal, their transposes
+added into the mirror tiles above. Each iteration is one sweep over the
+same tiles. P and the Student-t kernel are symmetric, so each pair's
+kernel is formed once and gives the KL, the normalizer z and both gradient
+terms of the pair and its mirror. Building P and iterating each hold P's
+tiles, about n^2 / 2 + n TILE / 2 float64 values, and a few blocks; no
+n x n array is made.
 """
 
 from __future__ import annotations
@@ -204,50 +206,46 @@ def _tile_pairs(n: int):
             yield a, b, 1.0 if a == b else 2.0
 
 
-def joint_affinities(points: np.ndarray, perplexity: float) -> list[np.ndarray]:
+def joint_affinities(
+    points: np.ndarray, perplexity: float
+) -> list[tuple[slice, slice, float, np.ndarray]]:
     """Symmetrized, floored, exactly renormalized joint affinities P, as tiles.
 
-    One contiguous float64 array per (a, b, w) of _tile_pairs(n), in that
-    order: P[a, b] for the tiles on and above the diagonal, each P[b, a]
-    being its transpose. Points are widened to float64 first. Each row block
-    of at most BLOCK_BYTES gets its conditional affinities from
-    _search_block, which are copied into the tiles on or above the diagonal
-    and their transpose added into the mirror tiles above, so an
-    off-diagonal entry is c_ij + c_ji. Once every row is in, a diagonal tile
-    d becomes d + d.T, and P is divided by 2n, floored at P_FLOOR and
-    divided by its sum, an off-diagonal tile counting twice. Building P
-    holds the tiles and two blocks of search scratch; no n x n array is made.
+    One (a, b, w, tile) per (a, b, w) of _tile_pairs(n), in that order: tile
+    is P[a, b] as its own contiguous float64 array, for the tiles on and
+    above the diagonal, each P[b, a] being its transpose; w = 2 counts that
+    mirror. Points are widened to float64 first. Each tile band's rows (a
+    band is the rows of one diagonal tile) get their conditional affinities
+    from _search_block in sub-blocks of at most BLOCK_BYTES, which are
+    copied into the band's tiles on or above the diagonal and their
+    transpose added into the band's mirror tiles above, so an off-diagonal
+    entry is c_ij + c_ji. Once every row is in, a diagonal tile d becomes
+    d + d.T, and P is divided by 2n, floored at P_FLOOR and divided by its
+    sum, an off-diagonal tile counting twice. Building P holds the tiles and
+    two blocks of search scratch; no n x n array is made.
     """
     x = np.asarray(points, dtype=np.float64)
     n = len(x)
     sq = (x * x).sum(axis=1)
     target = np.log(perplexity)
-    pairs = list(_tile_pairs(n))
-    tiles = {(a.start, b.start): np.empty((a.stop - a.start, b.stop - b.start))
-             for a, b, _ in pairs}
-    bands = [a for a, b, _ in pairs if a == b]
-    for s in _row_blocks(n, 8 * n):
-        cond = _search_block(x, sq, s, target)
-        for r in bands:  # the rows of s in tile row r
-            lo, hi = max(s.start, r.start), min(s.stop, r.stop)
-            if lo >= hi:
-                continue
-            src, dst = slice(lo - s.start, hi - s.start), slice(lo - r.start, hi - r.start)
-            for b in bands:
-                if b.start < r.start:
-                    tiles[b.start, r.start][:, dst] += cond[src, b].T
-                else:
-                    tiles[r.start, b.start][dst] = cond[src, b]
-        del cond  # so the next block is searched without this one
-    p = [tiles[a.start, b.start] for a, b, _ in pairs]
+    p = [(a, b, w, np.empty((a.stop - a.start, b.stop - b.start))) for a, b, w in _tile_pairs(n)]
+    for band in [a for a, b, _, _ in p if a == b]:
+        for s in _row_blocks(band.stop - band.start, 8 * n):
+            cond = _search_block(x, sq, slice(band.start + s.start, band.start + s.stop), target)
+            for a, b, _, t in p:
+                if a == band:
+                    t[s] = cond[:, b]
+                elif b == band:
+                    t[:, s] += cond[:, a].T
+            del cond  # so the next sub-block is searched without this one
     total = 0.0
-    for (a, b, w), t in zip(pairs, p):
+    for a, b, w, t in p:
         if a == b:
             t += t.T  # numpy buffers the overlapping transpose
         t /= 2.0 * n
         np.maximum(t, P_FLOOR, out=t)
         total += w * float(t.sum())
-    for t in p:
+    for *_, t in p:
         t /= total
     return p
 
@@ -257,21 +255,20 @@ class _TsneIteration:
 
     P and the Student-t kernel are symmetric, so each pair's kernel is formed
     once, in the tile (a, b) with a <= b, and an off-diagonal tile counts
-    twice. p holds P's tiles as joint_affinities returns them, one contiguous
-    array per (a, b, w) of _tile_pairs(n). A tile is at most TILE x TILE
-    pairs, one block of BLOCK_BYTES, in a flat buffer reshaped to the tile (a
-    slice of a square buffer would be strided). Holds P's tiles and two tile
+    twice. p is P's (a, b, w, tile) tuples as joint_affinities returns them;
+    the last tile's columns end at n. A tile is at most TILE x TILE pairs,
+    one block of BLOCK_BYTES, in a flat buffer reshaped to the tile (a slice
+    of a square buffer would be strided). Holds P's tiles and two tile
     buffers; no n x n array is made. grad keeps the last step's gradient.
     """
 
-    def __init__(self, p: Sequence[np.ndarray], n: int):
+    def __init__(self, p: Sequence[tuple[slice, slice, float, np.ndarray]]):
         self.p = p
-        self.pairs = list(_tile_pairs(n))
         self.k_buf = np.empty(TILE * TILE)
         self.t_buf = np.empty(TILE * TILE)
-        self.grad = np.empty((n, 2))
+        self.grad = np.empty((p[-1][1].stop, 2))
         self.p_sum = self.p_trace = self.p_log_p = 0.0
-        for (a, b, w), pt in zip(self.pairs, p):
+        for a, b, w, pt in p:
             self.p_sum += w * float(pt.sum())
             if a == b:
                 self.p_trace += float(np.trace(pt))
@@ -314,7 +311,7 @@ class _TsneIteration:
         rep = np.zeros((n, 3))
         z = p_log_k = 0.0
         k_max = []
-        for (a, b, w), pt in zip(self.pairs, self.p):
+        for a, b, w, pt in self.p:
             k = self._kernel(left, right, a, b)
             k_max.append(float(k.max()))
             log_k = np.log(k, out=self._tile(self.t_buf, a, b))
@@ -332,7 +329,7 @@ class _TsneIteration:
         # A pair with num / z below P_FLOOR has Q floored at P_FLOOR: its log Q
         # is log P_FLOOR and its repulsion P_FLOOR * num, not num^2 / z. Only
         # a tile whose largest k exceeds 1 / (P_FLOOR z) can hold one.
-        for (a, b, w), pt, most in zip(self.pairs, self.p, k_max):
+        for (a, b, w, pt), most in zip(self.p, k_max):
             if most * P_FLOOR * z <= 1.0:
                 continue
             k = self._kernel(left, right, a, b)
@@ -389,7 +386,7 @@ def tsne_embed(
     if labels is not None and len(labels) != n:
         raise ValueError("labels must align with points")
 
-    step = _TsneIteration(joint_affinities(x, config.perplexity), n)
+    step = _TsneIteration(joint_affinities(x, config.perplexity))
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)
@@ -406,15 +403,10 @@ def tsne_embed(
 def embed_corpus(
     model: MlpModel,
     rows: np.ndarray,
-    nations: Sequence[str | None],
-    families: Sequence[str | None],
-    label_kind: str = "nation",
+    labels: Sequence[str | None],
     config: TsneConfig | None = None,
 ) -> Embedding2D:
-    """Embed feature rows via the model's last hidden layer, carrying chosen labels."""
-    if label_kind not in ("nation", "family"):
-        raise ValueError(f"label_kind must be 'nation' or 'family', got {label_kind!r}")
-    labels = nations if label_kind == "nation" else families
+    """Embed feature rows via the model's last hidden layer, carrying one label per row."""
     acts = penultimate_activations(model, rows)
     return tsne_embed(acts, labels=labels, config=config)
 

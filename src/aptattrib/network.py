@@ -8,7 +8,8 @@ Weights live in float32; gradient checking runs a float64 path. Rows and
 labels are checked once where they enter (_inputs): forward (and so
 penultimate_activations), train_step and evaluate check each call's batch,
 and train checks its training set and validation pair before the first
-step.
+step. Every caller but forward reads labels, so for them missing labels
+are an error like any other bad label.
 
 The binary inputs are sparse, so layer 0 has a row-sparse path. When W0
 spans more than one row block and at most SPARSE_MAX_DENSITY of a batch's
@@ -354,14 +355,20 @@ def _backward_pass(
         dz = da * (acts[l] > 0)
 
 
-def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Check input rows, and their labels if given; returns (rows, int64 labels or None).
+def _inputs(
+    model: MlpModel, x, y=None, *, labeled: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Check input rows and, unless labeled is False, their labels; returns
+    (rows, int64 labels or None).
 
-    The one check of rows entering the network. One vector becomes one row.
-    Float rows become float32, the dtype the network computes in, before the
-    finite check, so a value that overflows float32 is caught. Integer and
-    boolean rows are always finite and keep their dtype, so neither train
-    nor inference holds a float copy of a uint8 matrix (see _layer0).
+    The one check of what enters the network. Every caller that reads labels
+    (train and its validation pair, train_step, evaluate) is labeled, so
+    labels of None are a ValueError there, before any step; only forward
+    checks rows alone. One vector becomes one row. Float rows become
+    float32, the dtype the network computes in, before the finite check, so
+    a value that overflows float32 is caught. Integer and boolean rows are
+    always finite and keep their dtype, so neither train nor inference
+    holds a float copy of a uint8 matrix (see _layer0).
     """
     x = np.asarray(x)
     if x.ndim == 1:
@@ -375,7 +382,9 @@ def _inputs(model: MlpModel, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
         x = x.astype(np.float32, copy=False)
         if not np.isfinite(x).all():
             raise ValueError("input contains non-finite values")
-    if y is not None:
+    if labeled:
+        if y is None:
+            raise ValueError("labels are required")
         y = np.asarray(y, dtype=np.int64)
         if y.shape != x.shape[:1]:
             raise ValueError("labels must align with rows")
@@ -392,7 +401,7 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarra
     every other layer is in the weights' dtype.
     """
     single = np.ndim(x) == 1
-    batch, _ = _inputs(model, x)
+    batch, _ = _inputs(model, x, labeled=False)
     acts, _ = _forward_pass(model.weights, model.biases, batch)
     if single:
         acts = [a[0] for a in acts]
@@ -511,8 +520,6 @@ def train(
 
 def evaluate(model: MlpModel, data_x: np.ndarray, data_y: np.ndarray) -> EvalResult:
     """Infer-mode accuracy and confusion matrix; argmax ties go to the lowest class."""
-    if data_y is None:
-        raise ValueError("evaluation requires labels")
     x, y = _inputs(model, data_x, data_y)
     acts, _ = _forward_pass(model.weights, model.biases, x)
     preds = acts[-1].argmax(axis=1)

@@ -37,7 +37,6 @@ from aptattrib.featurize import (
 )
 from aptattrib.interpret import (
     TsneConfig,
-    _tile_pairs,
     joint_affinities,
     olden_importance,
     tsne_embed,
@@ -314,10 +313,9 @@ def test_criterion_7_embedding_sanity(capsys):
     # P comes as its upper-triangle tiles: the diagonal tiles must be exactly
     # symmetric, and the sum counts each off-diagonal tile twice.
     p = joint_affinities(points, 30.0)
-    pairs = list(_tile_pairs(len(points)))
-    symmetric = all(np.array_equal(t, t.T) for (a, b, _), t in zip(pairs, p) if a == b)
+    symmetric = all(np.array_equal(t, t.T) for a, b, _, t in p if a == b)
     total = 0.0
-    for (_, _, w), t in zip(pairs, p, strict=True):
+    for _, _, w, t in p:
         total += w * float(t.sum())
 
     emb = tsne_embed(points, config=TsneConfig())

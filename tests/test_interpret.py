@@ -216,22 +216,28 @@ def test_tsne_rejects_label_mismatch():
         tsne_embed(pts, labels=["a"] * 19, config=TsneConfig(perplexity=2.0, iterations=5))
 
 
-def _dense_p(tiles, n):
-    """P as one n x n array, from the upper-triangle tiles joint_affinities returns."""
+def _dense_p(tiles):
+    """P as one n x n array, from the (a, b, w, tile) tuples joint_affinities returns."""
+    n = tiles[-1][1].stop
     p = np.empty((n, n))
-    for (a, b, _), t in zip(_tile_pairs(n), tiles, strict=True):
+    for a, b, _, t in tiles:
         p[a, b] = t
         p[b, a] = t.T
     return p
 
 
+def _search_rows(n):
+    """The row blocks joint_affinities searches: each tile band's rows (TILE
+    rows, the last band fewer) in sub-blocks of at most BLOCK_BYTES."""
+    for band in _row_blocks(n, 8 * TILE):
+        for s in _row_blocks(band.stop - band.start, 8 * n):
+            yield slice(band.start + s.start, band.start + s.stop)
+
+
 def _searched_blocks(x, perplexity, **kwargs):
     """The conditional affinities of each row block, searched as joint_affinities does."""
     sq = (x * x).sum(axis=1)
-    return [
-        _search_block(x, sq, s, np.log(perplexity), **kwargs)
-        for s in _row_blocks(len(x), 8 * len(x))
-    ]
+    return [_search_block(x, sq, s, np.log(perplexity), **kwargs) for s in _search_rows(len(x))]
 
 
 def _dense_conditionals(x, perplexity, **kwargs):
@@ -242,7 +248,7 @@ def _dense_conditionals(x, perplexity, **kwargs):
 def test_joint_affinities_invariants():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(40, 8))
-    p = _dense_p(joint_affinities(pts, perplexity=10.0), 40)
+    p = _dense_p(joint_affinities(pts, perplexity=10.0))
     assert np.array_equal(p, p.T)
     assert (p >= 0).all()
     assert abs(p.sum() - 1.0) <= 1e-9
@@ -253,17 +259,26 @@ def test_joint_affinities_cast_integer_points():
     p = joint_affinities(pts, perplexity=10.0)
     expected = joint_affinities(pts.astype(np.float64), perplexity=10.0)
     assert len(p) == len(expected)
-    assert all(np.array_equal(t, e) for t, e in zip(p, expected))
+    for (a, b, w, t), (ea, eb, ew, e) in zip(p, expected):
+        assert (a, b, w) == (ea, eb, ew) and np.array_equal(t, e)
 
 
 @pytest.mark.parametrize("n", [40, 513])
 def test_joint_affinities_return_contiguous_upper_tiles(n):
     p = joint_affinities(_cluster_points(n, seed=n), perplexity=10.0)
-    pairs = list(_tile_pairs(n))
-    assert len(p) == len(pairs)
-    for (a, b, _), t in zip(pairs, p):
+    cover = np.zeros((n, n), dtype=np.int64)
+    for a, b, w, t in p:
+        assert a.start <= b.start and w == (1.0 if a == b else 2.0)
         assert t.dtype == np.float64 and t.flags.c_contiguous
         assert t.shape == (a.stop - a.start, b.stop - b.start)
+        assert max(t.shape) <= TILE
+        cover[a, b] += 1
+        if a != b:
+            cover[b, a] += 1
+    # every pair once, its mirror's tile included; tiles in row-major order
+    assert (cover == 1).all()
+    starts = [(a.start, b.start) for a, b, _, _ in p]
+    assert starts == sorted(starts)
 
 
 def test_bandwidth_search_hits_target_perplexity():
@@ -330,7 +345,7 @@ def _blocked_squared_distances(x):
     (same blocks, same matmuls, so the same bits), as one n x n array."""
     sq = (x * x).sum(axis=1)
     d = np.add.outer(sq, sq)
-    for s in _row_blocks(len(x), 8 * len(x)):
+    for s in _search_rows(len(x)):
         d[s] -= 2.0 * (x[s] @ x.T)
     np.fill_diagonal(d, 0.0)
     return np.maximum(d, 0.0)
@@ -414,16 +429,27 @@ def _assert_close(actual, expected, rtol):
     assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
 
 
-# Point counts whose row blocks (BLOCK_BYTES // (8 n) rows each) end: inside
-# one block, filling exactly one, one row short of full, filling the last of
-# several, and one row past the last full block.
-EDGE_SIZES = {200: (200,), 256: (256,), 361: (181, 180), 362: (181, 181), 571: (114,) * 5 + (1,)}
+# Point counts and the search blocks they give: each tile band of TILE rows
+# is cut in sub-blocks of BLOCK_BYTES // (8 n) rows. One sub-block inside
+# the one band (200) or filling it exactly (256); a band ending in a 1-row
+# sub-block, then a 1-row band (257); a band ending in a short sub-block
+# (361, 362); two sub-blocks exactly filling each band (512); and several
+# bands with a short last one (571).
+EDGE_SIZES = {
+    200: (200,),
+    256: (256,),
+    257: (255, 1, 1),
+    361: (181, 75, 105),
+    362: (181, 75, 106),
+    512: (128,) * 4,
+    571: (114, 114, 28) * 2 + (59,),
+}
 
 
 def test_row_blocks_cover_the_edge_sizes():
-    assert BLOCK_BYTES == 1 << 19, "EDGE_SIZES follows the block budget"
+    assert BLOCK_BYTES == 1 << 19 and TILE == 256, "EDGE_SIZES follows the block budget and tile side"
     for n, sizes in EDGE_SIZES.items():
-        blocks = list(_row_blocks(n, 8 * n))
+        blocks = list(_search_rows(n))
         assert tuple(s.stop - s.start for s in blocks) == sizes
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
@@ -436,8 +462,8 @@ TILE_EDGE_SIZES = (200, 256, 257, 511, 512, 513, 571)
 
 
 def _assert_step_matches_dense(tiles, y, update, factor, momentum, rows=slice(None)):
-    step = _TsneIteration(tiles, len(y))
-    p = _dense_p(tiles, len(y))
+    step = _TsneIteration(tiles)
+    p = _dense_p(tiles)
     y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum)
     y_new, update_new, kl = step(y, update, factor, momentum)
     _assert_close(step.grad[rows], grad_ref[rows], 1e-12)
@@ -458,20 +484,21 @@ def test_blocked_iteration_matches_dense_reference(n):
         _assert_step_matches_dense(p, y, update, factor, momentum)
 
 
-# At 1,200 points the search's row blocks are 54 rows, so blocks straddle
-# every tile boundary.
+# At 1,200 points the search's sub-blocks are 54 rows, so every band of 256
+# rows ends in a short sub-block of 40.
 @pytest.mark.parametrize("n", TILE_EDGE_SIZES + (1200,))
 def test_joint_affinities_symmetrize_in_place_exactly(n):
     x = _cluster_points(n, seed=n)
     c = _dense_conditionals(x, 20.0)
     expected = (c + c.T) / (2.0 * n)
     np.maximum(expected, P_FLOOR, out=expected)
+    p = joint_affinities(x, perplexity=20.0)
     # the sum over the upper-triangle tiles, an off-diagonal tile counting twice
     total = 0.0
-    for a, b, w in _tile_pairs(n):
+    for a, b, w, _ in p:
         total += w * float(np.ascontiguousarray(expected[a, b]).sum())
     expected /= total
-    assert np.array_equal(_dense_p(joint_affinities(x, perplexity=20.0), n), expected)
+    assert np.array_equal(_dense_p(p), expected)
 
 
 def test_tiled_iteration_keeps_the_q_floor_exact():
@@ -500,7 +527,7 @@ def test_tsne_embed_matches_dense_loop_across_the_switch():
         perplexity=20.0, iterations=12, exaggeration_iters=5, momentum_switch_iter=7, seed=9
     )
     emb = tsne_embed(x, config=cfg)
-    p = _dense_p(joint_affinities(x, cfg.perplexity), n)
+    p = _dense_p(joint_affinities(x, cfg.perplexity))
     y = np.random.default_rng(cfg.seed).normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)
     kl_trace = []
@@ -612,7 +639,7 @@ def test_tsne_iteration_holds_two_tiles_and_o_n():
     update = np.zeros_like(y)
     tracemalloc.start()
     try:
-        step = _TsneIteration(p, n)
+        step = _TsneIteration(p)
         step(y, update, EXAGGERATION, MOMENTUM_INIT)
         y[:5] *= 1e6  # a second step that passes over floored tiles
         step(y, update, 1.0, MOMENTUM_FINAL)
@@ -633,18 +660,12 @@ def test_embed_corpus_uses_penultimate_and_carries_labels():
     nations = [f"n{i % 2}" for i in range(30)]
     families = [f"f{i % 3}" for i in range(30)]
     cfg = TsneConfig(perplexity=4.0, iterations=15, seed=2)
-    emb = embed_corpus(model, rows, nations, families, "nation", cfg)
+    emb = embed_corpus(model, rows, nations, cfg)
     assert len(emb.points) == 30
-    assert set(emb.labels) == {"n0", "n1"}
-    emb_f = embed_corpus(model, rows, nations, families, "family", cfg)
-    assert set(emb_f.labels) == {"f0", "f1", "f2"}
-
-
-def test_embed_corpus_rejects_unknown_label_kind():
-    model = init_model(ArchSpec((4, 3, 2)), seed=0)
-    rows = np.zeros((5, 4), dtype=np.uint8)
-    with pytest.raises(ValueError, match="label_kind"):
-        embed_corpus(model, rows, [None] * 5, [None] * 5, "cluster", TsneConfig())
+    assert emb.labels == tuple(nations)
+    emb_f = embed_corpus(model, rows, families, cfg)
+    assert emb_f.labels == tuple(families)
+    assert emb_f.points.tobytes() == emb.points.tobytes()
 
 
 # --- exports ---

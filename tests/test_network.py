@@ -345,6 +345,8 @@ def test_train_step_label_out_of_range():
     m = init_model(ArchSpec((4, 3, 2)), seed=1)
     with pytest.raises(ValueError, match="labels"):
         train_step(m, np.ones((1, 4)), np.array([2]), lr=0.1)
+    with pytest.raises(ValueError, match="labels are required"):
+        train_step(m, np.ones((1, 4)), None, lr=0.1)
 
 
 def test_train_step_rejects_empty_batch():
@@ -747,6 +749,8 @@ def test_train_checks_every_row_before_the_first_step():
         train(m, x, np.r_[np.zeros(39, dtype=np.int64), 2], TrainConfig(epochs=1))
     with pytest.raises(ValueError, match="align"):
         train(m, x, np.zeros(39, dtype=np.int64), TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="labels are required"):
+        train(m, x, None, TrainConfig(epochs=1))
     assert _model_bytes(m) == before
 
 
@@ -757,6 +761,7 @@ def test_train_checks_every_row_before_the_first_step():
         (np.full((6, 4), np.inf), np.zeros(6, dtype=np.int64), "finite"),
         (np.ones((6, 4)), np.full(6, 2), "labels"),
         (np.ones((6, 4)), np.zeros(5, dtype=np.int64), "align"),
+        (np.ones((6, 4)), None, "labels are required"),
     ],
 )
 def test_train_checks_the_validation_pair_before_the_first_step(vx, vy, match):
@@ -844,7 +849,7 @@ def test_evaluate_confusion_sums_to_sample_count():
 
 def test_evaluate_requires_labels():
     m = init_model(ArchSpec((4, 3, 2)), seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels are required"):
         evaluate(m, np.ones((2, 4)), None)
 
 
