@@ -360,7 +360,7 @@ def cmd_embed(args, settings: dict) -> int:
     embedding = embed_corpus(model, rows, labels, config)
     export_embedding_csv(embedding, args.csv_out)
     print(
-        f"wrote coordinates to {args.csv_out} (final KL {embedding.kl_trace[-1]:.4f})",
+        f"wrote coordinates to {args.csv_out} (final KL {embedding.kl_trace[-1][1]:.4f})",
         file=sys.stderr,
     )
     if args.svg_out:

@@ -19,10 +19,12 @@ diagonal tile), so each finished block goes straight into its band's
 tiles: its rows into the tiles on or above the diagonal, their transposes
 added into the mirror tiles above. Each iteration is one sweep over the
 same tiles. P and the Student-t kernel are symmetric, so each pair's
-kernel is formed once and gives the KL, the normalizer z and both gradient
-terms of the pair and its mirror. Building P and iterating each hold P's
-tiles, about n^2 / 2 + n TILE / 2 float64 values, and a few blocks; no
-n x n array is made.
+kernel is formed once and gives the normalizer z and both gradient terms
+of the pair and its mirror, and the KL at the iterations that record it
+(0, every KL_EVERY-th and the last); the others skip its log and P log k
+passes. Building P and iterating each hold P's tiles, about
+n^2 / 2 + n TILE / 2 float64 values, and a few blocks; no n x n array is
+made.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ STEP_SIZE = 200.0
 EXAGGERATION = 12.0
 MOMENTUM_INIT = 0.5
 MOMENTUM_FINAL = 0.8
+# Like that code, the KL is computed only every KL_EVERY iterations and at the last.
+KL_EVERY = 50
 # Side of a t-SNE tile: TILE x TILE float64 pairs fill one block.
 TILE = isqrt(BLOCK_BYTES // 8)
 SVG_WIDTH = 800
@@ -99,11 +103,13 @@ class TsneConfig:
 
 @dataclass
 class Embedding2D:
-    """2D coordinates per sample, carried labels, and the KL trace per iteration."""
+    """2D coordinates per sample, carried labels, and the KL trace: one
+    (iteration, KL) pair per iteration the KL was computed at (tsne_embed's
+    are 0, every KL_EVERY-th and the last)."""
 
     points: np.ndarray
     labels: tuple[str | None, ...]
-    kl_trace: list[float] = field(default_factory=list)
+    kl_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 def olden_importance(model: MlpModel, vocab: Vocabulary) -> ImportanceRanking:
@@ -296,8 +302,13 @@ class _TsneIteration:
         if a != b:
             acc[b] += m.T @ y1[a]
 
-    def __call__(self, y, update, factor: float, momentum: float):
-        """One gradient step on KL(factor * P || Q); returns (y, update, KL(P || Q) at y)."""
+    def __call__(self, y, update, factor: float, momentum: float, kl: bool = False):
+        """One gradient step on KL(factor * P || Q); returns (y, update, KL(P || Q)
+        at y when kl, else None).
+
+        The KL alone reads log k and P log k, so without kl those passes are
+        skipped; the gradient, and so y, update and grad, keep their bits.
+        """
         grad, n = self.grad, len(y)
         # left[i] . right[j] is 1 + sq[i] - 2 y_i . y_j + sq[j]
         sq = (y * y).sum(axis=1)
@@ -314,16 +325,18 @@ class _TsneIteration:
         for a, b, w, pt in self.p:
             k = self._kernel(left, right, a, b)
             k_max.append(float(k.max()))
-            log_k = np.log(k, out=self._tile(self.t_buf, a, b))
-            p_log_k += w * float(np.einsum("ij,ij->", pt, log_k))
+            if kl:
+                log_k = np.log(k, out=self._tile(self.t_buf, a, b))
+                p_log_k += w * float(np.einsum("ij,ij->", pt, log_k))
             num = np.reciprocal(k, out=k)
             if a == b:
                 np.fill_diagonal(num, 0.0)
             z += w * float(num.sum())
-            self._pull(np.multiply(pt, num, out=log_k), y1, a, b, att)
+            self._pull(np.multiply(pt, num, out=self._tile(self.t_buf, a, b)), y1, a, b, att)
             self._pull(np.multiply(num, num, out=num), y1, a, b, rep)
         # Q = num / z off the diagonal and P_FLOOR on it, so
         # sum(P log Q) = -sum(P log k) - log z (sum P - tr P) + tr P log P_FLOOR
+        # (scalars; without kl, p_log_k is 0 and p_log_q is never returned)
         p_log_q = -p_log_k - np.log(z) * (self.p_sum - self.p_trace)
         p_log_q += self.p_trace * np.log(P_FLOOR)
         # A pair with num / z below P_FLOOR has Q floored at P_FLOOR: its log Q
@@ -337,10 +350,11 @@ class _TsneIteration:
             floored = np.less(num, z * P_FLOOR)
             if a == b:
                 np.fill_diagonal(floored, False)
-            log_gap = np.log(k, out=k)
-            log_gap += np.log(z * P_FLOOR)
-            np.multiply(log_gap, floored, out=log_gap)
-            p_log_q += w * float(np.einsum("ij,ij->", pt, log_gap))
+            if kl:
+                log_gap = np.log(k, out=k)
+                log_gap += np.log(z * P_FLOOR)
+                np.multiply(log_gap, floored, out=log_gap)
+                p_log_q += w * float(np.einsum("ij,ij->", pt, log_gap))
             # rep is divided by z below, so a floored pair adds z P_FLOOR num - num^2
             np.subtract(z * P_FLOOR, num, out=k)
             np.multiply(num, k, out=num)
@@ -353,7 +367,7 @@ class _TsneIteration:
         grad *= 4.0
         update = momentum * update - STEP_SIZE * grad
         y = y + update
-        return y - y.mean(axis=0), update, self.p_log_p - p_log_q
+        return y - y.mean(axis=0), update, self.p_log_p - p_log_q if kl else None
 
 
 def tsne_embed(
@@ -366,10 +380,11 @@ def tsne_embed(
     Gradient descent on KL(P || Q) with step size STEP_SIZE, P exaggerated by
     EXAGGERATION for the first config.exaggeration_iters iterations, and
     momentum MOMENTUM_INIT before config.momentum_switch_iter and
-    MOMENTUM_FINAL from it; the KL trace is recorded each iteration against
-    the true (unexaggerated) P. P is held only as its upper-triangle tiles
-    (see joint_affinities), and the iterations hold them and two tile
-    buffers (see _TsneIteration); no n x n array is made.
+    MOMENTUM_FINAL from it. The KL against the true (unexaggerated) P is
+    computed and recorded, with its iteration, only at iteration 0, every
+    KL_EVERY-th iteration and the last. P is held only as its
+    upper-triangle tiles (see joint_affinities), and the iterations hold
+    them and two tile buffers (see _TsneIteration); no n x n array is made.
     """
     config = config or TsneConfig()
     x = np.asarray(points, dtype=np.float64)
@@ -390,12 +405,14 @@ def tsne_embed(
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)
-    kl_trace: list[float] = []
+    kl_trace: list[tuple[int, float]] = []
     for it in range(config.iterations):
         factor = EXAGGERATION if it < config.exaggeration_iters else 1.0
         momentum = MOMENTUM_INIT if it < config.momentum_switch_iter else MOMENTUM_FINAL
-        y, update, kl = step(y, update, factor, momentum)
-        kl_trace.append(kl)
+        record = it % KL_EVERY == 0 or it == config.iterations - 1
+        y, update, kl = step(y, update, factor, momentum, kl=record)
+        if record:
+            kl_trace.append((it, kl))
     final_labels = tuple(labels) if labels is not None else tuple([None] * n)
     return Embedding2D(points=y, labels=final_labels, kl_trace=kl_trace)
 

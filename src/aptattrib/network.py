@@ -4,7 +4,8 @@ Node layers are ReLU-activated except the last, whose affine output goes
 through a max-subtracted softmax. Training is plain mini-batch gradient
 descent on softmax cross-entropy with inverted dropout on hidden layers,
 zeroing noise on the input layer, and a geometric learning-rate decay.
-Weights live in float32; gradient checking runs a float64 path. Rows and
+Weights live in float32; the forward and backward passes keep float64
+weights in float64, which the tests' gradient check relies on. Rows and
 labels are checked once where they enter (_inputs): forward (and so
 penultimate_activations), train_step and evaluate check each call's batch,
 and train checks its training set and validation pair before the first
@@ -26,22 +27,21 @@ Backprop (_backward_pass) is one loop and the one place that knows how a
 parameter's gradient is shaped. It yields (array, rows, grad) for each
 weight and bias of each trainable layer, top down, as soon as the gradient
 passed below that layer is formed. train_step applies every yield the same
-way, array[rows] -= lr * grad, and gradient_check assembles them into whole
-gradients. No weight gradient is formed whole: every weight matrix's comes
-in row blocks of at most BLOCK_BYTES (one row where a row is wider), over
-all its rows, except that W0's on the row-sparse path covers only the
-batch's set columns and leaves every other row as it is. A bias gradient is
-one vector, rows slice(None). So train_step holds gradient blocks, never a
+way, array[rows] -= lr * grad; the tests' gradient check assembles them
+into whole gradients. No weight gradient is formed whole: every weight
+matrix's comes in row blocks of at most BLOCK_BYTES (one row where a row
+is wider), over all its rows, except that W0's on the row-sparse path
+covers only the batch's set columns and leaves every other row as it is.
+A bias gradient is one vector, rows slice(None). So train_step holds gradient blocks, never a
 whole layer's gradient. Backprop stops at the lowest trainable layer, and a
 frozen layer above it passes the gradient down without forming its own.
 
 init_model is the one place weights are drawn: transfer.replace_head takes a
-new head from it and gradient_check widens its weights to float64. It draws
-each layer in float32 row blocks of at most BLOCK_BYTES: block 0 from the
-seed's generator, every later block from a child stream of its own, filled
-on a thread per usable CPU. So the bytes never depend on the thread count,
-and a net whose layers each fit one block (the desk nets, transfer heads,
-gradient_check nets) draws from the seed's generator alone.
+new head from it. It draws each layer in float32 row blocks of at most
+BLOCK_BYTES: block 0 from the seed's generator, every later block from a
+child stream of its own, filled on a thread per usable CPU. So the bytes never depend on the thread count,
+and a net whose layers each fit one block (the desk nets, transfer heads)
+draws from the seed's generator alone.
 Model files are read with the same strict checks as feature-matrix files
 (magic, version, sizes against the file, trainable flags 0 or 1, exact
 reads, no trailing bytes).
@@ -532,61 +532,6 @@ def evaluate(model: MlpModel, data_x: np.ndarray, data_y: np.ndarray) -> EvalRes
 def penultimate_activations(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Infer-mode activations of the last hidden node-layer (post-ReLU)."""
     return forward(model, x)[0][-2]
-
-
-def gradient_check(
-    arch: ArchSpec,
-    seed: int,
-    sample: tuple[np.ndarray, int],
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Runs a float64 path with no dropout or noise on init_model's weights,
-    widened to float64, and nonzero biases drawn from a generator of their
-    own. Guarded to small architectures; intended as a correctness harness
-    for the backpropagation code.
-    """
-    if len(arch.layer_sizes) > 5 or max(arch.layer_sizes) > 16:
-        raise ValueError("gradient_check is limited to <= 5 node-layers of <= 16 units")
-    if not 0.0 < epsilon <= 1e-3:
-        raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
-    x, label = sample
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    if x.shape[1] != arch.input_size:
-        raise ValueError("sample width does not match architecture input")
-    if not 0 <= label < arch.output_size:
-        raise ValueError(f"sample label {label} outside [0, {arch.output_size})")
-    y = np.array([label], dtype=np.int64)
-    weights = [w.astype(np.float64) for w in init_model(arch, seed).weights]
-    bias_rng = np.random.default_rng([seed, 1])
-    biases = [bias_rng.normal(0.0, 0.1, size=fan_out) for fan_out in arch.layer_sizes[1:]]
-
-    def loss_at() -> float:
-        acts, _ = _forward_pass(weights, biases, x)
-        return float(-np.log(max(acts[-1][0, label], PROB_FLOOR)))
-
-    acts, mults = _forward_pass(weights, biases, x)
-    grads = {}  # id(array) -> (array, its whole gradient)
-    for arr, rows, grad in _backward_pass(weights, biases, acts, mults, y, [True] * len(weights)):
-        grads.setdefault(id(arr), (arr, np.zeros_like(arr)))[1][rows] = grad
-
-    max_rel = 0.0
-    for arr, grad in grads.values():
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            plus = loss_at()
-            flat[i] = orig - epsilon
-            minus = loss_at()
-            flat[i] = orig
-            numeric = (plus - minus) / (2.0 * epsilon)
-            analytic = gflat[i]
-            denom = max(abs(analytic) + abs(numeric), 1e-12)
-            max_rel = max(max_rel, abs(analytic - numeric) / denom)
-    return max_rel
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:

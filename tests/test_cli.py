@@ -1,13 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aptattrib_console
 from aptattrib import cli
 from aptattrib.cli import derive_seed, load_config, main
 from aptattrib.corpus import SynthSpec
@@ -767,3 +771,49 @@ def test_embed_width_mismatch_exits_2_before_embedding(tmp_path, capsys):
     assert "model input size 4 does not match matrix width 3" in err
     assert "embedding" not in err
     assert not out.exists()
+
+
+# Records the BLAS thread variables as numpy starts to load (OpenBLAS reads
+# them then), then runs the given statement.
+_AT_NUMPY_LOAD = """
+import os, sys
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
+sys.meta_path.insert(0, Watch())
+try:
+    exec(sys.argv[1])
+except SystemExit:
+    pass
+print(seen[0], file=sys.stderr)
+"""
+
+
+def _threads_at_numpy_load(statement, **env):
+    base = {k: v for k, v in os.environ.items() if k not in aptattrib_console.THREAD_VARIABLES}
+    base["PYTHONPATH"] = str(Path(aptattrib_console.__file__).parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _AT_NUMPY_LOAD, statement],
+        env={**base, **env}, capture_output=True, text=True, check=True,
+    )
+    return done.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({}, "['1', None]"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "['2', None]"),
+        ({"OMP_NUM_THREADS": "2"}, "[None, '2']"),
+    ],
+    ids=["unset", "openblas-set", "omp-set"],
+)
+def test_console_script_sets_one_blas_thread_unless_the_user_set_a_count(env, expected):
+    script = "import aptattrib_console; aptattrib_console.main(['--help'])"
+    assert _threads_at_numpy_load(script, **env) == expected
+
+
+def test_importing_the_library_sets_no_thread_count():
+    assert _threads_at_numpy_load("import aptattrib") == "[None, None]"

@@ -10,6 +10,7 @@ import pytest
 from aptattrib.featurize import Vocabulary
 from aptattrib.interpret import (
     EXAGGERATION,
+    KL_EVERY,
     MOMENTUM_FINAL,
     MOMENTUM_INIT,
     P_FLOOR,
@@ -316,8 +317,10 @@ def test_tsne_separates_clusters_and_reduces_kl():
     same = labels[:, None] == labels[None, :]
     off_diag = ~np.eye(len(y), dtype=bool)
     assert d[same & off_diag].mean() < d[~same].mean()
-    assert emb.kl_trace[-1] < emb.kl_trace[0]
-    assert len(emb.kl_trace) == 300
+    assert emb.kl_trace[-1][1] < emb.kl_trace[0][1]
+    # the KL is computed at iteration 0, every KL_EVERY-th and the last
+    assert KL_EVERY == 50
+    assert [it for it, _ in emb.kl_trace] == [0, 50, 100, 150, 200, 250, 299]
 
 
 def test_tsne_carries_labels():
@@ -465,7 +468,7 @@ def _assert_step_matches_dense(tiles, y, update, factor, momentum, rows=slice(No
     step = _TsneIteration(tiles)
     p = _dense_p(tiles)
     y_ref, update_ref, grad_ref, kl_ref = _dense_step(p, y, update, factor, momentum)
-    y_new, update_new, kl = step(y, update, factor, momentum)
+    y_new, update_new, kl = step(y, update, factor, momentum, kl=True)
     _assert_close(step.grad[rows], grad_ref[rows], 1e-12)
     _assert_close(update_new, update_ref, 1e-12)
     _assert_close(y_new, y_ref, 1e-12)
@@ -501,23 +504,46 @@ def test_joint_affinities_symmetrize_in_place_exactly(n):
     assert np.array_equal(_dense_p(p), expected)
 
 
-def test_tiled_iteration_keeps_the_q_floor_exact():
-    n = 513
+def _tile_step_case(n, far=()):
+    """P of n cluster points, and y and update for one step; the far points
+    are moved about 1e6 out, so thousands of their pairs have Q floored."""
     p = joint_affinities(_cluster_points(n, seed=7), perplexity=20.0)
     rng = np.random.default_rng(7)
     y = rng.normal(0.0, 5.0, size=(n, 2))
-    far = np.array([3, 200, 260, 400, 512])  # in the first, second and third tiles
-    y[far] = rng.normal(0.0, 1e6, size=(len(far), 2))
+    y[np.asarray(far, dtype=np.intp)] = rng.normal(0.0, 1e6, size=(len(far), 2))
     update = rng.normal(0.0, 0.5, size=(n, 2))
     num = 1.0 / (1.0 + _dense_squared_distances(y))
     np.fill_diagonal(num, 0.0)
     floored = num / num.sum() < P_FLOOR
     np.fill_diagonal(floored, False)
-    assert floored.sum() > 4000
+    assert floored.sum() > 4000 if len(far) else not floored.any()
+    return p, y, update
+
+
+FAR = np.array([3, 200, 260, 400, 512])  # in the first, second and third tiles of 513
+
+
+def test_tiled_iteration_keeps_the_q_floor_exact():
+    p, y, update = _tile_step_case(513, FAR)
     for factor, momentum in ((EXAGGERATION, MOMENTUM_INIT), (1.0, MOMENTUM_FINAL)):
         _assert_step_matches_dense(p, y, update, factor, momentum)
         # the floor's repulsion shows in the far points' own gradient rows
-        _assert_step_matches_dense(p, y, update, factor, momentum, rows=far)
+        _assert_step_matches_dense(p, y, update, factor, momentum, rows=FAR)
+
+
+@pytest.mark.parametrize("far", [(), FAR], ids=["ordinary", "far-points"])
+def test_tsne_step_without_the_kl_keeps_its_bits(far):
+    # the KL's passes only read the kernel, so skipping them (and, with far
+    # points, the floored pairs' log gaps) leaves every gradient bit alone
+    p, y, update = _tile_step_case(513, far)
+    for factor, momentum in ((EXAGGERATION, MOMENTUM_INIT), (1.0, MOMENTUM_FINAL)):
+        with_kl, without = _TsneIteration(p), _TsneIteration(p)
+        y_on, update_on, kl = with_kl(y, update, factor, momentum, kl=True)
+        y_off, update_off, no_kl = without(y, update, factor, momentum)
+        assert np.isfinite(kl) and no_kl is None
+        assert y_off.tobytes() == y_on.tobytes()
+        assert update_off.tobytes() == update_on.tobytes()
+        assert without.grad.tobytes() == with_kl.grad.tobytes()
 
 
 def test_tsne_embed_matches_dense_loop_across_the_switch():
@@ -537,7 +563,9 @@ def test_tsne_embed_matches_dense_loop_across_the_switch():
         y, update, _, kl = _dense_step(p, y, update, factor, momentum)
         kl_trace.append(kl)
     _assert_close(emb.points, y, 1e-12)
-    _assert_close(emb.kl_trace, kl_trace, 1e-12)
+    # 12 iterations record the KL at the first and the last alone
+    assert [it for it, _ in emb.kl_trace] == [0, 11]
+    _assert_close([kl for _, kl in emb.kl_trace], [kl_trace[0], kl_trace[11]], 1e-12)
 
 
 @pytest.mark.parametrize("n", sorted(EDGE_SIZES))
@@ -641,8 +669,8 @@ def test_tsne_iteration_holds_two_tiles_and_o_n():
     try:
         step = _TsneIteration(p)
         step(y, update, EXAGGERATION, MOMENTUM_INIT)
-        y[:5] *= 1e6  # a second step that passes over floored tiles
-        step(y, update, 1.0, MOMENTUM_FINAL)
+        y[:5] *= 1e6  # a second step, with the KL, that passes over floored tiles
+        step(y, update, 1.0, MOMENTUM_FINAL, kl=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -673,7 +701,7 @@ def test_embed_corpus_uses_penultimate_and_carries_labels():
 
 def _tiny_embedding():
     points = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0], [0.5, 0.5]])
-    return Embedding2D(points=points, labels=("a", "b", "a", None), kl_trace=[0.5, 0.4])
+    return Embedding2D(points=points, labels=("a", "b", "a", None), kl_trace=[(0, 0.5), (1, 0.4)])
 
 
 def test_export_embedding_csv(tmp_path):
@@ -688,7 +716,7 @@ def test_export_embedding_csv(tmp_path):
 
 def _awkward_embedding():
     points = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0], [0.5, 0.5]])
-    return Embedding2D(points=points, labels=("A&B", "<x>", '"q"', "x,y\nz"), kl_trace=[0.5])
+    return Embedding2D(points=points, labels=("A&B", "<x>", '"q"', "x,y\nz"), kl_trace=[(0, 0.5)])
 
 
 def test_export_embedding_csv_keeps_each_label_one_field(tmp_path):
@@ -706,7 +734,7 @@ def test_export_embedding_csv_quotes_a_bare_carriage_return(tmp_path):
     embedding = Embedding2D(
         points=np.vstack([plain.points, [[3.0, -0.25]]]),
         labels=(*plain.labels, "a\rb"),
-        kl_trace=[0.5],
+        kl_trace=[(0, 0.5)],
     )
     export_embedding_csv(plain, tmp_path / "plain.csv")
     export_embedding_csv(embedding, tmp_path / "e.csv")
@@ -744,7 +772,7 @@ def test_export_scatter_svg_structure(tmp_path):
 
 
 def test_export_scatter_svg_single_point_centered(tmp_path):
-    emb = Embedding2D(points=np.array([[3.0, 7.0]]), labels=("only",), kl_trace=[0.1])
+    emb = Embedding2D(points=np.array([[3.0, 7.0]]), labels=("only",), kl_trace=[(0, 0.1)])
     path = tmp_path / "one.svg"
     export_scatter_svg(emb, path)
     assert '<circle cx="400.00" cy="300.00"' in path.read_text()

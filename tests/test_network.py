@@ -23,7 +23,6 @@ from aptattrib.network import (
     default_arch,
     evaluate,
     forward,
-    gradient_check,
     init_model,
     learning_rate,
     load_model,
@@ -32,6 +31,8 @@ from aptattrib.network import (
     train,
     train_step,
 )
+
+from gradcheck import gradient_check
 
 
 def _model_bytes(model):
